@@ -10,8 +10,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 invalid input or contract violation, 3 internal
 numerical failure.  A flat `key = value` config file can supply defaults
-for any flag; explicit flags win.  ALLEE_LAB_THREADS overrides sweep
-parallelism.
+for any flag; explicit flags win.
 """
 from __future__ import annotations
 

@@ -11,6 +11,10 @@ Each branch is a quadratic with positive sum and product of roots, so the
 roots are computed with the cancellation-free formula (large root first,
 small root from the product) and double roots are recognised through a
 relative tolerance band on the discriminant.
+
+`portrait_batch` computes the same quantities for many parameter points at
+once as numpy arrays, and marks the points it cannot decide as exactly as
+the scalar path (folds, merges, tolerance-band edges) for that path.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InconsistentInput
-from .model import ModelParams, State, derivatives
+from .model import ModelParams, State, _field, derivatives
 
 __all__ = [
     "Branch",
@@ -39,6 +43,8 @@ __all__ = [
     "classify",
     "thresholds",
     "full_portrait",
+    "PortraitBatch",
+    "portrait_batch",
 ]
 
 # relative tolerance deciding the double-root (fold) cases
@@ -47,6 +53,21 @@ DISCRIMINANT_RTOL = 1e-10
 MERGE_DISTANCE = 1e-10
 # residual above which a point is rejected as "not an equilibrium"
 RESIDUAL_TOL = 1e-9
+# det, trace and node/focus discriminant bands of classify(), relative to
+# the Jacobian's Frobenius norm (squared for det and the discriminant)
+DEGENERACY_RTOL = 1e-9
+# eigenvalue cross-check: real-part sign of a generic class, and the
+# smallest eigenvalue modulus of a degenerate class, relative to the norm
+EIGEN_SIGN_RTOL = 1e-8
+EIGEN_ZERO_RTOL = 1e-7
+# floor of the norm in every band above, so a zero Jacobian has a band
+NORM_FLOOR = 1e-30
+# |denominator| at or below which thresholds() reports an s-value absent
+DENOMINATOR_TOL = 1e-12
+# factor by which portrait_batch() widens each band above before it trusts
+# its own decision: its norm and residual are not bit-equal to the scalar
+# ones, so rows near a band edge are left to the scalar path
+BATCH_MARGIN = 4.0
 
 
 class Branch(enum.Enum):
@@ -267,8 +288,8 @@ def classify(p: ModelParams, e: Equilibrium) -> StabilityClass:
     norm = float(np.linalg.norm(J))
     tr = d.f1_x + d.f2_y
     det = d.f1_x * d.f2_y - d.f1_y * d.f2_x
-    det_zero = abs(det) <= 1e-9 * max(norm * norm, 1e-30)
-    tr_zero = abs(tr) <= 1e-9 * max(norm, 1e-30)
+    det_zero = abs(det) <= DEGENERACY_RTOL * max(norm * norm, NORM_FLOOR)
+    tr_zero = abs(tr) <= DEGENERACY_RTOL * max(norm, NORM_FLOOR)
 
     if det_zero and tr_zero:
         check = normal_forms.cusp_check(p, e)
@@ -290,7 +311,7 @@ def classify(p: ModelParams, e: Equilibrium) -> StabilityClass:
         result = StabilityClass.WEAK_CENTER
     else:
         disc = tr * tr - 4.0 * det
-        if abs(disc) <= 1e-9 * max(norm * norm, 1e-30) or disc > 0:
+        if abs(disc) <= DEGENERACY_RTOL * max(norm * norm, NORM_FLOOR) or disc > 0:
             result = StabilityClass.STABLE_NODE if tr < 0 else StabilityClass.UNSTABLE_NODE
         else:
             result = StabilityClass.STABLE_FOCUS if tr < 0 else StabilityClass.UNSTABLE_FOCUS
@@ -303,7 +324,7 @@ def _check_against_eigenvalues(J: np.ndarray, norm: float, cls: StabilityClass) 
     # independent route: QR eigenvalues of the assembled matrix
     lam = np.linalg.eigvals(J)
     re = np.sort(lam.real)
-    tol = 1e-8 * max(norm, 1e-30)
+    tol = EIGEN_SIGN_RTOL * max(norm, NORM_FLOOR)
     ok = True
     if cls is StabilityClass.SADDLE:
         ok = re[0] < tol and re[1] > -tol and lam.imag[0] == 0
@@ -314,7 +335,7 @@ def _check_against_eigenvalues(J: np.ndarray, norm: float, cls: StabilityClass) 
     elif cls is StabilityClass.WEAK_CENTER:
         ok = abs(re[0]) <= tol and abs(re[1]) <= tol and abs(lam[0].imag) > tol
     elif cls in (StabilityClass.SADDLE_NODE, StabilityClass.DEGENERATE, StabilityClass.CUSP):
-        ok = min(abs(lam)) <= 1e-7 * max(norm, 1e-30)
+        ok = min(abs(lam)) <= EIGEN_ZERO_RTOL * max(norm, NORM_FLOOR)
     if not ok:
         raise InconsistentInput(
             f"classification {cls.value} contradicts eigenvalues {lam}"
@@ -332,7 +353,7 @@ def thresholds(p: ModelParams, x8: float | None = None, x9: float | None = None)
     h1 = p.m - (p.q + 1.0) * p.m * p.m
     h3 = 1.0 / (4.0 * (p.q + 1.0))
 
-    if abs(p.m - 2.0 * p.h) <= 1e-12:
+    if abs(p.m - 2.0 * p.h) <= DENOMINATOR_TOL:
         s1 = None
         absent["s1"] = "denominator m - 2h vanishes"
     else:
@@ -349,7 +370,7 @@ def thresholds(p: ModelParams, x8: float | None = None, x9: float | None = None)
         if x is None:
             absent[name] = "diagonal equilibrium does not exist"
             return None
-        if abs(p.m - x) <= 1e-12:
+        if abs(p.m - x) <= DENOMINATOR_TOL:
             absent[name] = "denominator m - x vanishes"
             return None
         return (2.0 * x + p.q * x - 1.0) / (p.m - x)
@@ -386,3 +407,147 @@ def full_portrait(p: ModelParams) -> list[Equilibrium]:
             else:
                 found.append(eq)
     return [replace(eq, classification=classify(p, eq)) for eq in found]
+
+
+# ---------------------------------------------------------------------------
+# the generic portrait of many parameter points at once
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PortraitBatch:
+    """Branch counts, classes, discriminants and thresholds of N parameter
+    points, computed as arrays.
+
+    Only rows where `generic` is True are decided.  In those rows every
+    equilibrium is a simple root on exactly one branch with a generic class
+    (Saddle, Stable/Unstable Node or Focus), and every value equals, bit for
+    bit, what full_portrait, discriminants and thresholds give for the point.
+    All other rows are left to the scalar path: invalid or non-finite
+    parameters, points in or near a fold, merge or classification band, and
+    points where the eigenvalue cross-check disagrees.
+    """
+
+    generic: np.ndarray  # bool (N,)
+    counts: dict[Branch, np.ndarray]  # roots per branch: 0 or 2
+    classes: dict[str, np.ndarray]  # E2, E3, E5, E6, E8, E9 -> class value, "" if absent
+    delta1: np.ndarray
+    delta2: np.ndarray
+    thresholds: dict[str, np.ndarray]  # h1, h2, h3, s1, s2, s3; NaN where absent
+
+
+def _rel_disc_batch(disc, root_sum, root_prod):
+    return disc / np.maximum(np.maximum(1.0, root_sum * root_sum), root_prod * root_prod)
+
+
+def portrait_batch(q, s, h, m) -> PortraitBatch:
+    """Evaluate the generic portrait of the points (q[i], s[i], h[i], m[i]).
+
+    Mirrors the scalar solvers, derivatives() and thresholds() operation by
+    operation, so that + - * / and sqrt give the same floats; the norm and
+    the residual are not bit-equal to the scalar ones, so each band is
+    widened by BATCH_MARGIN before a row is trusted.
+    """
+    q, s, h, m = (np.asarray(v, dtype=float)[:, None] for v in (q, s, h, m))
+    # absent roots and invalid rows compute NaN and inf; they are masked below
+    with np.errstate(all="ignore"):
+        undecided = ~(np.isfinite(q) & np.isfinite(s) & np.isfinite(h) & np.isfinite(m)
+                      & (q > 0) & (s > 0) & (h > 0) & (m > 0) & (m < 1))[:, 0]
+        A = 1.0 - q * m
+        C = 1.0 / (q + 1.0)
+        xs, ys, present, counts = [], [], [], {}
+        for branch, root_sum, root_prod, admissible, line in (
+            (Branch.PREY_AXIS, 1.0, h, True, 0.0),
+            (Branch.ALLEE_LINE, A, h, A > 0, m),
+            (Branch.DIAGONAL, C, h * C, True, None),
+        ):
+            disc = root_sum * root_sum - 4.0 * root_prod
+            rel = _rel_disc_batch(disc, root_sum, root_prod)
+            undecided |= (admissible & (np.abs(rel) <= BATCH_MARGIN * DISCRIMINANT_RTOL))[:, 0]
+            exists = admissible & (rel > DISCRIMINANT_RTOL)
+            counts[branch] = np.where(exists, 2, 0)[:, 0]
+            big = 0.5 * (root_sum + np.sqrt(disc))
+            for x in (big, root_prod / big):
+                x = np.where(exists, x, np.nan)
+                xs.append(x)
+                ys.append(x if line is None else np.where(exists, line, np.nan))
+                present.append(exists)
+        x, y, present = np.hstack(xs), np.hstack(ys), np.hstack(present)
+
+        pairs = np.triu_indices(x.shape[1], 1)
+        gap = np.hypot(x[:, pairs[0]] - x[:, pairs[1]], y[:, pairs[0]] - y[:, pairs[1]])
+        undecided |= (gap <= BATCH_MARGIN * MERGE_DISTANCE).any(axis=1)
+
+        # the field and Jacobian in the operation order of model.derivatives
+        f1, f2 = _field(q, s, h, m, x, y)
+        g = y * y * (y - m)
+        g_y = 3.0 * y * y - 2.0 * m * y
+        ix = 1.0 / x
+        ix2 = ix * ix
+        f1_x = 1.0 - 2.0 * x - q * y
+        f1_y = -q * x
+        f2_x = s * g * ix2
+        f2_y = s * (2.0 * y - m - g_y * ix)
+        tr = f1_x + f2_y
+        det = f1_x * f2_y - f1_y * f2_x
+        disc = tr * tr - 4.0 * det
+        norm = np.sqrt(f1_x * f1_x + f1_y * f1_y + f2_x * f2_x + f2_y * f2_y)
+        saddle, stable = det < 0, tr < 0
+        band = BATCH_MARGIN * DEGENERACY_RTOL
+        residual = np.hypot(f1, f2)
+        near = ~(np.isfinite(residual + norm + disc) & (x > 0))
+        near |= residual > RESIDUAL_TOL / BATCH_MARGIN
+        near |= np.abs(det) <= band * np.maximum(norm * norm, NORM_FLOOR)
+        # classify() reads a saddle's trace nowhere, so only other points need it clear
+        near |= ~saddle & (np.abs(tr) <= band * np.maximum(norm, NORM_FLOOR))
+        near |= np.abs(disc) <= band * np.maximum(norm * norm, NORM_FLOOR)
+        undecided |= (present & near).any(axis=1)
+
+        # the independent eigenvalue route, one stacked call, tightened band
+        check = present & ~undecided[:, None]
+        J = np.stack([f1_x[check], f1_y[check], f2_x[check], f2_y[check]], axis=1)
+        lam = np.linalg.eigvals(J.reshape(-1, 2, 2))
+        re = np.sort(lam.real, axis=1)
+        tol = EIGEN_SIGN_RTOL / BATCH_MARGIN * np.maximum(norm[check], NORM_FLOOR)
+        agrees = np.where(
+            saddle[check],
+            (re[:, 0] < tol) & (re[:, 1] > -tol) & (lam.imag[:, 0] == 0),
+            np.where(stable[check], re[:, 1] < tol, re[:, 0] > -tol),
+        )
+        disagrees = np.zeros_like(present)
+        disagrees[check] = ~agrees
+        undecided |= disagrees.any(axis=1)
+
+        # object arrays, so every row shares one str per class
+        kind = {c.name: np.array(c.value, dtype=object) for c in StabilityClass}
+        node = np.where(stable, kind["STABLE_NODE"], kind["UNSTABLE_NODE"])
+        focus = np.where(stable, kind["STABLE_FOCUS"], kind["UNSTABLE_FOCUS"])
+        cls = np.where(present, np.where(saddle, kind["SADDLE"], np.where(disc > 0, node, focus)),
+                       np.array("", dtype=object))
+
+        # thresholds() and discriminants(), including their own diagonal solve
+        delta1 = A * A - 4.0 * h
+        delta2 = C * C - 4.0 * h / (q + 1.0)
+        diagonal = _rel_disc_batch(delta2, C, h * C) > DISCRIMINANT_RTOL
+        x8 = 0.5 * (C + np.sqrt(delta2))
+        t = {"h1": m - (q + 1.0) * m * m, "h2": np.full_like(q, 0.25),
+             "h3": 1.0 / (4.0 * (q + 1.0))}
+        s_values = {"s1": (np.abs(m - 2.0 * h) <= DENOMINATOR_TOL,
+                           (4.0 * h - 1.0) / (2.0 * (m - 2.0 * h)))}
+        for name, xd in (("s2", x8), ("s3", h * C / x8)):
+            s_values[name] = (~diagonal | (np.abs(m - xd) <= DENOMINATOR_TOL),
+                              (2.0 * xd + q * xd - 1.0) / (m - xd))
+        finite = np.isfinite(delta1 + delta2 + t["h1"] + t["h3"])
+        for name, (absent, value) in s_values.items():
+            finite &= absent | np.isfinite(value)
+            t[name] = np.where(absent, np.nan, value)
+        undecided |= ~finite[:, 0]
+
+    labels = ("E2", "E3", "E5", "E6", "E8", "E9")
+    return PortraitBatch(
+        generic=~undecided,
+        counts=counts,
+        classes={lab: cls[:, k] for k, lab in enumerate(labels)},
+        delta1=delta1[:, 0],
+        delta2=delta2[:, 0],
+        thresholds={name: value[:, 0] for name, value in t.items()},
+    )

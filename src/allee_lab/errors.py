@@ -4,6 +4,7 @@ from __future__ import annotations
 __all__ = [
     "AlleeLabError",
     "NonPositiveParameter",
+    "NonFiniteParameter",
     "AlleeThresholdOutOfRange",
     "DomainViolation",
     "InconsistentInput",
@@ -24,6 +25,10 @@ class AlleeLabError(Exception):
 
 class NonPositiveParameter(AlleeLabError):
     """A model parameter that must be strictly positive is not."""
+
+
+class NonFiniteParameter(AlleeLabError):
+    """A model parameter is NaN or infinite."""
 
 
 class AlleeThresholdOutOfRange(AlleeLabError):

@@ -21,11 +21,17 @@ finite-difference approximations.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlleeThresholdOutOfRange, DomainViolation, NonPositiveParameter
+from .errors import (
+    AlleeThresholdOutOfRange,
+    DomainViolation,
+    NonFiniteParameter,
+    NonPositiveParameter,
+)
 
 __all__ = [
     "DimensionalParams",
@@ -36,6 +42,15 @@ __all__ = [
     "vector_field",
     "derivatives",
 ]
+
+
+def _check_positive_finite(params, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise NonFiniteParameter(f"{name} must be finite, got {value}")
+        if not value > 0:
+            raise NonPositiveParameter(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -60,9 +75,7 @@ class DimensionalParams:
     m: float
 
     def __post_init__(self) -> None:
-        for name in ("r", "K", "q", "b", "s", "h", "m"):
-            if not getattr(self, name) > 0:
-                raise NonPositiveParameter(f"{name} must be > 0, got {getattr(self, name)}")
+        _check_positive_finite(self, ("r", "K", "q", "b", "s", "h", "m"))
 
 
 @dataclass(frozen=True)
@@ -75,9 +88,7 @@ class ModelParams:
     m: float
 
     def __post_init__(self) -> None:
-        for name in ("q", "s", "h", "m"):
-            if not getattr(self, name) > 0:
-                raise NonPositiveParameter(f"{name} must be > 0, got {getattr(self, name)}")
+        _check_positive_finite(self, ("q", "s", "h", "m"))
         if not self.m < 1:
             raise AlleeThresholdOutOfRange(f"m must lie in (0, 1), got {self.m}")
 

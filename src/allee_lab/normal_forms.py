@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import DomainViolation, NotDoublyDegenerate, NotSemiDegenerate
 from .model import DerivativeBundle, ModelParams, State, derivatives
-from .equilibria import Equilibrium
+from .equilibria import DEGENERACY_RTOL, NORM_FLOOR, Equilibrium
 
 __all__ = [
     "TaylorCoefficients",
@@ -37,7 +37,6 @@ __all__ = [
     "cusp_check",
 ]
 
-DEGENERACY_RTOL = 1e-9
 COEFF_TOL = 1e-9
 
 
@@ -139,8 +138,8 @@ def _degeneracy(d: DerivativeBundle) -> tuple[float, float, float, bool, bool]:
     tr = d.f1_x + d.f2_y
     det = d.f1_x * d.f2_y - d.f1_y * d.f2_x
     norm = math.sqrt(d.f1_x**2 + d.f1_y**2 + d.f2_x**2 + d.f2_y**2)
-    det_zero = abs(det) <= DEGENERACY_RTOL * max(norm * norm, 1e-30)
-    tr_zero = abs(tr) <= DEGENERACY_RTOL * max(norm, 1e-30)
+    det_zero = abs(det) <= DEGENERACY_RTOL * max(norm * norm, NORM_FLOOR)
+    tr_zero = abs(tr) <= DEGENERACY_RTOL * max(norm, NORM_FLOOR)
     return tr, det, norm, det_zero, tr_zero
 
 

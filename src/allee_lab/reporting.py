@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import equilibria as eq
 from .bifurcations import BTReport, HopfReport
@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 SURFACE_RTOL = 1e-9
+# critical surfaces; the first letter names the parameter that crosses them
+SURFACES = ("h1", "h2", "h3", "s1", "s2", "s3")
 
 # fixed sweep-CSV column layout; one classification column per label
 SWEEP_LABELS = [f"E{i}" for i in range(1, 10)]
@@ -73,19 +75,14 @@ def _thresholds_dict(t: eq.Thresholds) -> dict:
     }
 
 
+def _on_surface(actual, target):
+    # elementwise on arrays too, where a NaN (absent) target is never hit
+    return abs(actual - target) <= SURFACE_RTOL * np.maximum(1.0, abs(target))
+
+
 def _surface_flags(p: ModelParams, t: eq.Thresholds) -> list[str]:
-    flags = []
-    for name, target, actual in (
-        ("h1", t.h1, p.h),
-        ("h2", t.h2, p.h),
-        ("h3", t.h3, p.h),
-        ("s1", t.s1, p.s),
-        ("s2", t.s2, p.s),
-        ("s3", t.s3, p.s),
-    ):
-        if target is not None and abs(actual - target) <= SURFACE_RTOL * max(1.0, abs(target)):
-            flags.append(name)
-    return flags
+    return [name for name in SURFACES
+            if getattr(t, name) is not None and _on_surface(getattr(p, name[0]), getattr(t, name))]
 
 
 def _equilibrium_dict(p: ModelParams, e: eq.Equilibrium) -> dict:
@@ -169,13 +166,21 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.parameter not in ("q", "s", "h", "m"):
             raise ValueError(f"parameter must be one of q, s, h, m, got {self.parameter!r}")
+        for name, value in (("lo", self.lo), ("hi", self.hi), *self.fixed.items()):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.steps < 2:
             raise ValueError(f"need at least 2 steps, got {self.steps}")
+        if not math.isfinite((self.hi - self.lo) / (self.steps - 1)):
+            raise ValueError(f"grid step overflows for lo = {self.lo}, hi = {self.hi}")
         missing = {"q", "s", "h", "m"} - {self.parameter} - set(self.fixed)
         if missing:
             raise ValueError(f"missing fixed parameter values: {sorted(missing)}")
+        unknown = set(self.fixed) - {"q", "s", "h", "m"}
+        if unknown:
+            raise ValueError(f"unknown fixed parameters: {sorted(unknown)}")
 
     def grid(self) -> list[float]:
         step = (self.hi - self.lo) / (self.steps - 1)
@@ -183,13 +188,8 @@ class SweepSpec:
 
 
 def sweep_parallelism() -> int:
-    raw = os.environ.get("ALLEE_LAB_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    n = int(raw)
-    if n <= 0:
-        raise ValueError(f"ALLEE_LAB_THREADS must be a positive integer, got {raw!r}")
-    return n
+    """Threads a sweep runs on: one, since the grid is evaluated as arrays."""
+    return 1
 
 
 def _sweep_row(spec: SweepSpec, value: float) -> dict:
@@ -230,17 +230,43 @@ def _sweep_row(spec: SweepSpec, value: float) -> dict:
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate the grid concurrently; rows come back in grid order."""
+    """Evaluate the grid in one array pass; rows come back in grid order.
+
+    Rows the array pass leaves undecided (invalid or degenerate points and
+    points near a tolerance band) are evaluated by the scalar `_sweep_row`,
+    which every array-built row equals.
+    """
     grid = spec.grid()
-    workers = sweep_parallelism()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda v: _sweep_row(spec, v), grid))
+    n = len(grid)
+    params = {name: np.full(n, float(value)) for name, value in spec.fixed.items()}
+    params[spec.parameter] = np.array(grid)
+    batch = eq.portrait_batch(params["q"], params["s"], params["h"], params["m"])
+    t = batch.thresholds
+    columns = {
+        "value": grid,
+        "n_prey_axis": batch.counts[eq.Branch.PREY_AXIS].tolist(),
+        "n_allee_line": batch.counts[eq.Branch.ALLEE_LINE].tolist(),
+        "n_diagonal": batch.counts[eq.Branch.DIAGONAL].tolist(),
+        "delta1": batch.delta1.tolist(),
+        "delta2": batch.delta2.tolist(),
+        "skipped": [0] * n,
+        "error": [""] * n,
+    }
+    for lab in SWEEP_LABELS:
+        column = batch.classes.get(lab)
+        columns[f"class_{lab}"] = [""] * n if column is None else column.tolist()
+    for name in SURFACES:
+        columns[name] = ["" if v != v else v for v in t[name].tolist()]  # NaN: absent
+        columns[f"on_{name}"] = _on_surface(params[name[0]], t[name]).astype(int).tolist()
+    rows = [dict(zip(SWEEP_COLUMNS, cells)) for cells in zip(*(columns[c] for c in SWEEP_COLUMNS))]
+    for i in np.flatnonzero(~batch.generic):
+        rows[i] = _sweep_row(spec, grid[i])
     return rows
 
 
 def _cell(v) -> str:
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # a numpy float's own repr names its type
     return str(v)
 
 

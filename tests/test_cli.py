@@ -4,8 +4,10 @@ import csv
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from allee_lab.reporting import dumps_canonical
 
 def run_cli(*args: str, env: dict | None = None):
     cmd = [sys.executable, "-m", "allee_lab", *args]
-    import os
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -45,6 +46,11 @@ class TestAnalyze:
         assert "s2" in report["bifurcation_flags"]
         labels = {e["label"]: e["classification"] for e in report["equilibria"]}
         assert labels["E8"] == "WeakCenter"
+
+    def test_non_finite_parameter_exits_2(self):
+        res = run_cli("analyze", "--q", "1", "--s", "inf", "--h", "0.2", "--m", "0.2")
+        assert res.returncode == 2
+        assert "s must be finite, got inf" in res.stderr
 
     def test_invalid_params_diagnostic_and_exit_2(self):
         res = run_cli("analyze", "--q", "1", "--s", "1", "--h", "0.25", "--m", "1.5")
@@ -170,21 +176,40 @@ class TestSweep:
         assert len(skipped) == 6  # m >= 1 grid points
         assert all("m must lie in" in r["error"] for r in skipped)
 
-    def test_byte_reproducible_across_runs_and_thread_counts(self, tmp_path):
+    def test_byte_reproducible_across_runs(self):
         args = ("sweep", "--parameter", "h", "--lo", "0.2", "--hi", "0.3",
                 "--steps", "51", "--q", "1", "--s", "1", "--m", "0.2")
         outs = []
-        for threads in ("1", "4", "4"):
-            res = run_cli(*args, env={"ALLEE_LAB_THREADS": threads})
+        for _ in range(3):
+            res = run_cli(*args)
             assert res.returncode == 0
             outs.append(res.stdout)
         assert outs[0] == outs[1] == outs[2]
 
-    def test_invalid_thread_env_exits_2(self):
+    @pytest.mark.parametrize("bounds, s, named", [
+        (("--lo=0.2", "--hi=inf"), "1", "hi must be finite, got inf"),
+        (("--lo=-1e308", "--hi=1e308"), "1", "grid step overflows"),
+        (("--lo=0.2", "--hi=0.3"), "inf", "s must be finite, got inf"),
+    ])
+    def test_non_finite_input_exits_2(self, capsys, bounds, s, named):
+        argv = ["sweep", "--parameter=h", *bounds, "--steps=3", "--q=1", f"--s={s}", "--m=0.2"]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+
+
+class TestHarvestDemo:
+    def test_demo_csv_equals_cli_sweep(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        demo = subprocess.run([sys.executable, str(root / "demos" / "harvest_sweep.py")],
+                              cwd=tmp_path, capture_output=True, text=True, env=env)
+        assert demo.returncode == 0, demo.stderr
         res = run_cli("sweep", "--parameter", "h", "--lo", "0.2", "--hi", "0.3",
-                      "--steps", "5", "--q", "1", "--s", "1", "--m", "0.2",
-                      env={"ALLEE_LAB_THREADS": "0"})
-        assert res.returncode == 2
+                      "--steps", "21", "--q", "1", "--s", "1", "--m", "0.2")
+        assert res.returncode == 0
+        assert (tmp_path / "harvest_sweep.csv").read_text(encoding="utf-8") == res.stdout
 
 
 class TestConfigFile:

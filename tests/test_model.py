@@ -7,7 +7,12 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import allee_lab as al
-from allee_lab.errors import AlleeThresholdOutOfRange, DomainViolation, NonPositiveParameter
+from allee_lab.errors import (
+    AlleeThresholdOutOfRange,
+    DomainViolation,
+    NonFiniteParameter,
+    NonPositiveParameter,
+)
 from helpers import component, fd_gradient, fd_second, fd_third, random_params, random_state, rel_err
 
 
@@ -29,6 +34,13 @@ class TestNondimensionalize:
             al.DimensionalParams(r=0.0, K=1, q=1, b=1, s=1, h=0.1, m=0.2)
         with pytest.raises(NonPositiveParameter):
             al.ModelParams(q=1, s=-1, h=0.1, m=0.2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, bad):
+        with pytest.raises(NonFiniteParameter, match=f"h must be finite, got {bad}"):
+            al.DimensionalParams(r=1, K=1, q=1, b=1, s=1, h=bad, m=0.2)
+        with pytest.raises(NonFiniteParameter, match=f"s must be finite, got {bad}"):
+            al.ModelParams(q=1, s=bad, h=0.1, m=0.2)
 
     def test_scale_consistency_with_dimensional_flow(self):
         """Integrating the dimensional system and rescaling state/time must
