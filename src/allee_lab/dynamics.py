@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import NoCrossings
+from .errors import DomainViolation, NoCrossings
 from .model import ModelParams, State, _field
 
 __all__ = [
@@ -36,6 +35,18 @@ __all__ = [
 ]
 
 DIVERGENCE_BOUND = 1e6
+
+
+def solve_ivp(*args, **kwargs):
+    """`scipy.integrate.solve_ivp`, imported on the first integration.
+
+    scipy takes most of the package's import time and only this module
+    integrates, so the closed-form analyses never load it.  Call sites look
+    this name up at call time, which lets a caller swap it for a wrapper.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -116,6 +127,8 @@ def integrate(p: ModelParams, u0: State, cfg: IntegratorConfig | None = None) ->
     cfg = cfg or IntegratorConfig()
     if not (u0.x > cfg.x_floor and math.isfinite(u0.x) and math.isfinite(u0.y)):
         raise ValueError(f"initial state ({u0.x}, {u0.y}) not admissible (x must exceed the floor)")
+    if u0.y < 0:
+        raise DomainViolation(f"predator density must be non-negative, got y = {u0.y}")
     sol = solve_ivp(
         _rhs(p),
         (0.0, cfg.t_max),

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InconsistentInput
+from .errors import InconsistentInput, NotRepresentable
 from .model import ModelParams, State, _field, derivatives
 
 __all__ = [
@@ -286,6 +286,12 @@ def classify(p: ModelParams, e: Equilibrium) -> StabilityClass:
 
     J = d.jacobian
     norm = float(np.linalg.norm(J))
+    # an inf or NaN entry of J makes the norm non-finite as well
+    if not math.isfinite(norm * norm):
+        raise NotRepresentable(
+            f"equilibrium {e.label} at ({e.x}, {e.y}): its linearisation "
+            f"{J.tolist()} is not representable in double precision"
+        )
     tr = d.f1_x + d.f2_y
     det = d.f1_x * d.f2_y - d.f1_y * d.f2_x
     det_zero = abs(det) <= DEGENERACY_RTOL * max(norm * norm, NORM_FLOOR)

@@ -7,6 +7,7 @@ __all__ = [
     "NonFiniteParameter",
     "AlleeThresholdOutOfRange",
     "DomainViolation",
+    "NotRepresentable",
     "InconsistentInput",
     "NotSemiDegenerate",
     "NotDoublyDegenerate",
@@ -36,7 +37,13 @@ class AlleeThresholdOutOfRange(AlleeLabError):
 
 
 class DomainViolation(AlleeLabError):
-    """State outside the admissible domain (prey density must stay positive)."""
+    """State outside the admissible domain (prey density must stay positive,
+    predator density non-negative)."""
+
+
+class NotRepresentable(AlleeLabError):
+    """A quantity the analysis needs overflows, or is NaN, in double
+    precision at a valid parameter point."""
 
 
 class InconsistentInput(AlleeLabError):

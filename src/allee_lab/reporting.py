@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,14 +265,10 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(float(v))  # a numpy float's own repr names its type
-    return str(v)
-
-
 def sweep_csv(rows: list[dict]) -> str:
+    # str() of a float, numpy's included, is its shortest round-trip repr
+    cells = operator.itemgetter(*SWEEP_COLUMNS)
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_cell(row[c]) for c in SWEEP_COLUMNS))
+        lines.append(",".join(map(str, cells(row))))
     return "\n".join(lines) + "\n"

@@ -52,6 +52,30 @@ class TestAnalyze:
         assert res.returncode == 2
         assert "s must be finite, got inf" in res.stderr
 
+    @pytest.mark.parametrize("q, s, h, label", [
+        ("1", "1e299", "0.1", "E2"),
+        ("1e300", "1", "0.1", "E2"),
+        ("1", "1e160", "0.1", "E2"),
+        ("1e160", "1", "0.1", "E2"),
+        # finite entries whose squared norm overflows: an infinite band
+        # would call E8, with trace -1e154, a Cusp
+        ("1", "6.309573444802098e154", "0.1", "E8"),
+        ("1", "1", "1e-300", "E3+E9"),
+        ("1", "1", "1e-160", "E3+E9"),
+    ])
+    def test_unrepresentable_linearisation_exits_2(self, capsys, q, s, h, label):
+        assert main(["analyze", f"--q={q}", f"--s={s}", f"--h={h}", "--m=0.2"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: equilibrium {label} at" in err
+        assert "not representable in double precision" in err
+
+    @pytest.mark.parametrize("flag", ["--s=1e150", "--h=1e-100"])
+    def test_extreme_representable_point_is_analysed(self, capsys, flag):
+        argv = ["analyze", "--q=1", "--s=1", "--h=0.1", "--m=0.2", flag]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert all(e["classification"] for e in report["equilibria"])
+
     def test_invalid_params_diagnostic_and_exit_2(self):
         res = run_cli("analyze", "--q", "1", "--s", "1", "--h", "0.25", "--m", "1.5")
         assert res.returncode == 2
@@ -133,6 +157,11 @@ class TestSimulate:
                       "--x0", "0", "--y0", "0.1")
         assert res.returncode == 2
 
+    def test_negative_predator_start_exits_2(self, capsys):
+        argv = ["simulate", "--q=1", "--s=1", "--h=0.21", "--m=0.2", "--x0=0.5", "--y0=-1"]
+        assert main(argv) == 2
+        assert "predator density must be non-negative, got y = -1.0" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_boundary_count_transition_across_fold(self, tmp_path):
@@ -195,6 +224,37 @@ class TestSweep:
         argv = ["sweep", "--parameter=h", *bounds, "--steps=3", "--q=1", f"--s={s}", "--m=0.2"]
         assert main(argv) == 2
         assert named in capsys.readouterr().err
+
+    def test_unrepresentable_points_become_error_rows(self, capsys):
+        argv = ["sweep", "--parameter=s", "--lo=1", "--hi=1e300", "--steps=3",
+                "--q=1", "--h=0.1", "--m=0.2"]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["skipped"] for r in rows] == ["0", "1", "1"]
+        assert all(r["error"].startswith("NotRepresentable: equilibrium E2 at")
+                   for r in rows[1:])
+
+
+class TestScipyLoadedOnlyToIntegrate:
+    def test_closed_form_commands_leave_scipy_unloaded(self, tmp_path):
+        # a fresh interpreter: this one imported scipy with the tests
+        out = str(tmp_path / "out")
+        script = f"""
+import sys
+import allee_lab, allee_lab.cli as cli
+for argv in (["analyze", "--q=1", "--s=1", "--h=0.12", "--m=0.1"],
+             ["hopf", "--q=1", "--h=0.12", "--m=0.1"],
+             ["bt", "--q=1", "--m=0.1"],
+             ["sweep", "--parameter=h", "--lo=0.2", "--hi=0.3", "--steps=11",
+              "--q=1", "--s=1", "--m=0.2"]):
+    assert cli.main([*argv, "--out", {out!r}]) == 0, argv
+    assert "scipy" not in sys.modules, argv
+assert cli.main(["simulate", "--q=1", "--s=1", "--h=0.21", "--m=0.2", "--x0=0.71",
+                 "--y0=0.01", "--tmax=5", "--out", {out!r}]) == 0
+assert "scipy" in sys.modules
+"""
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
 
 
 class TestHarvestDemo:

@@ -8,7 +8,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import allee_lab as al
-from allee_lab.errors import NoCrossings
+import allee_lab.dynamics as dynamics
+from allee_lab.errors import DomainViolation, NoCrossings
 from helpers import random_params, sim_agrees
 
 SC = al.StabilityClass
@@ -56,6 +57,28 @@ class TestIntegrate:
         p = al.ModelParams(q=1, s=1, h=0.1, m=0.2)
         with pytest.raises(ValueError):
             al.integrate(p, al.State(0.0, 0.1))
+
+    def test_negative_predator_start_rejected(self):
+        p = al.ModelParams(q=1, s=1, h=0.1, m=0.2)
+        with pytest.raises(DomainViolation, match="got y = -0.001"):
+            al.integrate(p, al.State(0.5, -1e-3))
+
+    def test_integrations_call_the_module_solver(self, monkeypatch):
+        # tracing swaps dynamics.solve_ivp for a wrapper, which sees every
+        # integration only if the call sites look the name up at call time
+        calls = []
+        solver = dynamics.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "solve_ivp", counting)
+        p = al.ModelParams(q=1, s=1, h=0.21, m=0.2)
+        al.integrate(p, al.State(0.7, 0.0), al.IntegratorConfig(t_max=10.0))
+        assert calls == [(0.0, 10.0)]
+        al.detect_cycle(al.ModelParams(q=1, s=1.0, h=0.12, m=0.1), al.State(0.3, 0.3))
+        assert len(calls) > 2  # the forward run and at least one section window
 
 
 class TestIntegratorAccuracy:
