@@ -23,6 +23,7 @@ with respect to the perturbation at 0, estimated by central differences.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -210,30 +211,21 @@ def lyapunov_number(a: float, b: float, c: float, d: float, t: TaylorCoefficient
     return -3.0 * math.pi / (2.0 * b * delta**1.5) * (quad - cubic)
 
 
-def phi_terms(t: TaylorCoefficients, printed_variant: bool = False) -> tuple[float, ...]:
+def phi_terms(t: TaylorCoefficients) -> tuple[float, ...]:
     """The eight grouped terms of the Lyapunov-number sum for this model.
 
-    With a = a10, b = a01, c = b10, d = b01 and the prey component quadratic
+    With a = a10, b = a01, c = b10 and the prey component quadratic
     (a02 = 0, no cubic a-terms), the generic formula collapses to eight
     terms phi_1..phi_8 with phi_3 = 0.
-
-    `printed_variant` switches phi6/phi7 to an alternative grouping
-    (b11*a20 in phi6, b01 in place of b10 in phi7).  That grouping does not
-    match the generic formula and is never used for sigma; it is kept only
-    so the test suite can demonstrate the difference.
     """
-    a, b, c, d = t.a10, t.a01, t.b10, t.b01
+    a, b, c = t.a10, t.a01, t.b10
     phi1 = a * c * (t.a11**2 + t.a11 * t.b02)
     phi2 = a * b * (t.b11**2 + t.a20 * t.b11 + t.a11 * t.b02)
     phi3 = 0.0
     phi4 = -2.0 * a * c * t.b02**2
     phi5 = -2.0 * a * b * (t.a20**2 - t.b20 * t.b02)
-    if printed_variant:
-        phi6 = -b * b * (2.0 * t.a20 * t.b20 + t.b11 * t.a20)
-        phi7 = (b * d - 2.0 * a * a) * (t.b11 * t.b02 - t.a11 * t.a20)
-    else:
-        phi6 = -b * b * (2.0 * t.a20 * t.b20 + t.b11 * t.b20)
-        phi7 = (b * c - 2.0 * a * a) * (t.b11 * t.b02 - t.a11 * t.a20)
+    phi6 = -b * b * (2.0 * t.a20 * t.b20 + t.b11 * t.b20)
+    phi7 = (b * c - 2.0 * a * a) * (t.b11 * t.b02 - t.a11 * t.a20)
     phi8 = -(a * a + b * c) * (
         3.0 * (c * t.b03 - b * t.a30) + 2.0 * a * t.b12 - b * t.b21
     )
@@ -280,6 +272,10 @@ def first_lyapunov_coefficient(p: ModelParams, which: str = "E8") -> HopfReport:
 # ---------------------------------------------------------------------------
 # Bogdanov-Takens chain
 # ---------------------------------------------------------------------------
+
+# cusp bases whose unfolding Jacobian is kept; a grid or a demo uses one
+_JACOBIAN_CACHE_SIZE = 64
+
 
 class BTVerdict(enum.Enum):
     BT_CODIM2 = "BTCodim2"
@@ -408,6 +404,25 @@ def _ladder(p_base: ModelParams, h3: float, s1: float, eta: tuple[float, float])
     return stages, mirrored
 
 
+@functools.lru_cache(maxsize=_JACOBIAN_CACHE_SIZE)
+def _unfolding_jacobian_det(q: float, m: float, jac_step: float) -> float:
+    """|det d(l00, l01)/d(eta)| at eta = 0 by central differences.
+
+    The ladder reads only q, m and the h3, s1 they fix, so the value
+    belongs to the cusp base and is computed once per (q, m, jac_step).
+    """
+    p_base = cusp_base_params(q, m)
+
+    def l_pair(e1: float, e2: float) -> np.ndarray:
+        st, _ = _ladder(p_base, p_base.h, p_base.s, (e1, e2))
+        return np.array([st["l"]["00"], st["l"]["01"]])
+
+    jac = np.zeros((2, 2))
+    for j, (d1, d2) in enumerate(((jac_step, 0.0), (0.0, jac_step))):
+        jac[:, j] = (l_pair(d1, d2) - l_pair(-d1, -d2)) / (2.0 * jac_step)
+    return abs(float(np.linalg.det(jac)))
+
+
 def bt_normal_form(
     p_base: ModelParams,
     eta: tuple[float, float] = (0.0, 0.0),
@@ -419,22 +434,15 @@ def bt_normal_form(
     p_base must sit exactly on the cusp (h = h3, s = s1, m != 2*h3); the
     perturbation must stay small (|eta| <= 1e-2).  The report carries every
     intermediate coefficient set, the final unfolding pair (l00, l01), and
-    the central-difference Jacobian of (l00, l01) with respect to eta at 0.
+    the determinant of the central-difference Jacobian of (l00, l01) with
+    respect to eta at 0, which is computed once per (q, m, jac_step).
     """
     h3, s1 = _check_cusp_base(p_base)
     if math.hypot(*eta) > 1e-2:
         raise ValueError(f"perturbation {eta} too large; the chain is local (|eta| <= 1e-2)")
 
     stages, mirrored = _ladder(p_base, h3, s1, eta)
-
-    def l_pair(e1: float, e2: float) -> np.ndarray:
-        st, _ = _ladder(p_base, h3, s1, (e1, e2))
-        return np.array([st["l"]["00"], st["l"]["01"]])
-
-    jac = np.zeros((2, 2))
-    for j, (d1, d2) in enumerate(((jac_step, 0.0), (0.0, jac_step))):
-        jac[:, j] = (l_pair(d1, d2) - l_pair(-d1, -d2)) / (2.0 * jac_step)
-    jac_det = abs(float(np.linalg.det(jac)))
+    jac_det = _unfolding_jacobian_det(p_base.q, p_base.m, jac_step)
 
     return BTReport(
         eta=eta,

@@ -15,6 +15,7 @@ for any flag; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -180,6 +181,7 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="allee-lab",
@@ -190,12 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = subs.add_parser("analyze", help="equilibria, classes, thresholds (JSON)")
     _add_param_flags(analyze)
-    analyze.set_defaults(func=_cmd_analyze)
 
     hopf = subs.add_parser("hopf", help="Hopf point and first Lyapunov coefficient (JSON)")
     _add_param_flags(hopf)
     hopf.add_argument("--which", choices=("E8", "E9"), default="E8")
-    hopf.set_defaults(func=_cmd_hopf)
 
     bt = subs.add_parser("bt", help="Bogdanov-Takens unfolding coefficients (JSON)")
     _add_param_flags(bt)
@@ -204,14 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
     bt.add_argument("--grid", type=int, help="emit an N x N grid over the eta box")
     bt.add_argument("--eta-box", dest="eta_box", type=float,
                     help="half-width of the eta grid box (default 1e-3)")
-    bt.set_defaults(func=_cmd_bt)
 
     simulate = subs.add_parser("simulate", help="integrate one trajectory (CSV)")
     _add_param_flags(simulate)
     simulate.add_argument("--x0", type=float, help="initial prey density")
     simulate.add_argument("--y0", type=float, help="initial predator density")
     simulate.add_argument("--tmax", type=float, help="integration horizon (default 200)")
-    simulate.set_defaults(func=_cmd_simulate)
 
     sweep = subs.add_parser("sweep", help="one-parameter bifurcation sweep (CSV)")
     _add_param_flags(sweep)
@@ -219,16 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--lo", type=float)
     sweep.add_argument("--hi", type=float)
     sweep.add_argument("--steps", type=int)
-    sweep.set_defaults(func=_cmd_sweep)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _apply_config(args)
-        return args.func(args)
+        # looked up at call time: the parser is shared, the handlers may be replaced
+        return globals()[f"_cmd_{args.command}"](args)
     except (ArithmeticError, np.linalg.LinAlgError) as err:
         # LinAlgError subclasses ValueError, so this branch must come first
         print(f"numerical failure: {err}", file=sys.stderr)

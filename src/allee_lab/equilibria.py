@@ -285,7 +285,8 @@ def classify(p: ModelParams, e: Equilibrium) -> StabilityClass:
         )
 
     J = d.jacobian
-    norm = float(np.linalg.norm(J))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        norm = float(np.linalg.norm(J))
     # an inf or NaN entry of J makes the norm non-finite as well
     if not math.isfinite(norm * norm):
         raise NotRepresentable(

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import allee_lab as al
+from allee_lab import bifurcations
 from allee_lab.bifurcations import phi_terms
 from allee_lab.errors import (
     CuspConditionsViolated,
@@ -102,10 +103,18 @@ class TestFirstLyapunovCoefficient:
     def test_alternative_grouping_differs_and_is_not_used(self):
         # the variant grouping fails the identity with the generic formula;
         # kept only for comparison with the generic grouping
+        def alternative_phi_terms(t):
+            # b11*a20 in phi6, b01 in place of b10 in phi7
+            a, b, d = t.a10, t.a01, t.b01
+            phi = list(phi_terms(t))
+            phi[5] = -b * b * (2.0 * t.a20 * t.b20 + t.b11 * t.a20)
+            phi[6] = (b * d - 2.0 * a * a) * (t.b11 * t.b02 - t.a11 * t.a20)
+            return tuple(phi)
+
         p = al.ModelParams(q=1, s=0.5, h=0.12, m=0.1)
         t = taylor_at(p, al.State(0.3, 0.3))
         ours = phi_terms(t)
-        printed = phi_terms(t, printed_variant=True)
+        printed = alternative_phi_terms(t)
         assert ours[5] != pytest.approx(printed[5], rel=1e-6)
         assert ours[6] != pytest.approx(printed[6], rel=1e-6)
         lyap = al.lyapunov_number(t.a10, t.a01, t.b10, t.b01, t)
@@ -169,6 +178,31 @@ class TestBTNormalForm:
         assert r6.jac_det > 1e-6
         assert r5.jac_det == pytest.approx(r6.jac_det, rel=5e-4)  # 3 significant digits
         assert r6.jac_det == pytest.approx(1327.96, rel=1e-3)     # frozen regression value
+
+    def test_shared_eta_jacobian_equals_a_fresh_one(self):
+        # the unfolding Jacobian is kept per (q, m, jac_step); each report
+        # must carry exactly the value a fresh central difference gives
+        def fresh_jac_det(p, step):
+            def l_pair(e1, e2):
+                st, _ = bifurcations._ladder(p, p.h, p.s, (e1, e2))
+                return np.array([st["l"]["00"], st["l"]["01"]])
+
+            jac = np.zeros((2, 2))
+            for j, (d1, d2) in enumerate(((step, 0.0), (0.0, step))):
+                jac[:, j] = (l_pair(d1, d2) - l_pair(-d1, -d2)) / (2.0 * step)
+            return abs(float(np.linalg.det(jac)))
+
+        bifurcations._unfolding_jacobian_det.cache_clear()
+        bases = [(1.0, 0.1), (0.5, 0.05), (2.0, 0.02)]
+        etas = [(0.0, 0.0), (3e-4, -5e-4), (-1e-3, 1e-3)]
+        for eta in etas:  # later etas reuse the first one's entries
+            for q, m in bases:
+                p = al.cusp_base_params(q, m)
+                for step in (1e-5, 1e-6):
+                    rep = al.bt_normal_form(p, eta, jac_step=step)
+                    assert rep.jac_det == fresh_jac_det(p, step)
+        info = bifurcations._unfolding_jacobian_det.cache_info()
+        assert (info.misses, info.hits) == (6, 12)
 
     def test_cusp_conditions_enforced(self):
         with pytest.raises(CuspConditionsViolated):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from allee_lab.cli import main
+from allee_lab.normal_forms import taylor_at
 from allee_lab.reporting import dumps_canonical
 
 
@@ -68,6 +69,13 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert f"error: equilibrium {label} at" in err
         assert "not representable in double precision" in err
+
+    def test_unrepresentable_point_prints_only_the_error(self):
+        # no numpy overflow warning ahead of the diagnostic
+        res = run_cli("analyze", "--q", "1", "--s", "1e299", "--h", "0.1", "--m", "0.2")
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith("error: equilibrium E2 at")
 
     @pytest.mark.parametrize("flag", ["--s=1e150", "--h=1e-100"])
     def test_extreme_representable_point_is_analysed(self, capsys, flag):
@@ -125,6 +133,24 @@ class TestBT:
         res = run_cli("bt", "--q", "1", "--m", "0.3")
         assert res.returncode == 2
         assert "not positive" in res.stderr
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_grid_runs_one_ladder_per_point_plus_the_jacobian(self, monkeypatch, tmp_path, n):
+        # one coefficient ladder per grid point, plus the four of the
+        # unfolding Jacobian once for the cusp base, from a cold start
+        import allee_lab.bifurcations as bif
+
+        calls = []
+
+        def counting_taylor_at(*args):
+            calls.append(args)
+            return taylor_at(*args)
+
+        bif._unfolding_jacobian_det.cache_clear()
+        monkeypatch.setattr(bif, "taylor_at", counting_taylor_at)
+        argv = ["bt", "--q", "1", "--m", "0.1", "--grid", str(n), "--out", str(tmp_path / "g.json")]
+        assert main(argv) == 0
+        assert len(calls) == n * n + 4
 
 
 class TestSimulate:
@@ -291,8 +317,8 @@ class TestConfigFile:
 
 class TestExitCodes:
     def test_internal_numerical_failure_maps_to_3(self, monkeypatch):
-        # build_parser binds the command functions at call time, so patching
-        # the module attribute is visible to a subsequent main() call
+        # main looks the command function up by name on every call, so patching
+        # the module attribute is seen even by a parser built by an earlier call
         import allee_lab.cli as cli_mod
 
         def boom(args):
@@ -301,3 +327,42 @@ class TestExitCodes:
         monkeypatch.setattr(cli_mod, "_cmd_analyze", boom)
         code = main(["analyze", "--q", "1", "--s", "1", "--h", "0.2", "--m", "0.2"])
         assert code == 3
+
+    def test_patched_command_seen_after_an_earlier_call(self, monkeypatch, capsys):
+        import allee_lab.cli as cli_mod
+
+        argv = ["analyze", "--q", "1", "--s", "1", "--h", "0.2", "--m", "0.2"]
+        assert main(argv) == 0
+
+        def boom(args):
+            raise np.linalg.LinAlgError("synthetic failure")
+
+        monkeypatch.setattr(cli_mod, "_cmd_analyze", boom)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "numerical failure: synthetic failure\n"
+
+
+class TestSequentialCalls:
+    def test_one_process_matches_fresh_runs(self, capsys, tmp_path):
+        # the parser and the unfolding Jacobian are shared between calls;
+        # each call must still give what a fresh interpreter gives
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text("q = 1\ns = 1\nh = 0.25\nm = 0.2\n")
+        runs = [
+            ["bt", "--q", "1", "--m", "0.1", "--grid", "3"],
+            ["bt", "--q", "1", "--m", "0.1"],
+            ["analyze", "--config", str(cfg)],
+            ["analyze"],
+        ]
+        in_process = []
+        for argv in runs:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            in_process.append((code, out, err))
+        fresh = []
+        for argv in runs:
+            res = run_cli(*argv)
+            fresh.append((res.returncode, res.stdout, res.stderr))
+        assert in_process == fresh
+        assert [code for code, _, _ in in_process] == [0, 0, 0, 2]
+        assert "missing required value(s): --q, --s, --h, --m" in in_process[3][2]
