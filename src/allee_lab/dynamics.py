@@ -6,16 +6,21 @@ modules (classification is inferred from orbits, time scales from a
 finite-difference Jacobian), so it can serve as an independent
 cross-check on the closed-form results.
 
-Integration uses an embedded Dormand-Prince 4(5) pair with per-step error
-control.  The predator equation is singular at x = 0, so every run carries
-a terminal "domain floor" event instead of ever evaluating 1/x at
-rounding-scale prey densities.
+Integration uses the embedded Dormand-Prince 5(4) pair with per-step error
+control (`solve_ivp`), written for two components on Python floats: the
+per-step cost is the vector field, not array bookkeeping.  Its tableau,
+step-size controller, event location and `nfev` count follow the usual
+RK45 solver contract.  The predator equation is singular at x = 0, so every
+run carries a terminal "domain floor" event instead of ever evaluating 1/x
+at rounding-scale prey densities.
 """
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,16 +42,239 @@ __all__ = [
 DIVERGENCE_BOUND = 1e6
 
 
-def solve_ivp(*args, **kwargs):
-    """`scipy.integrate.solve_ivp`, imported on the first integration.
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Sec. II.5) with Shampine's
+# quartic dense output, in the usual RK45 floats.  Stage 2 has zero weight in
+# B, E and P, so those sums skip it; _P holds P's columns over stages 1, 3-7.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21, _A31, _A32 = 1 / 5, 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200,
+                                -22 / 525, 1 / 40)
+_P = (
+    (1, 0, 0, 0, 0, 0),
+    (-8048581381 / 2820520608, 131558114200 / 32700410799, -1754552775 / 470086768,
+     127303824393 / 49829197408, -282668133 / 205662961, 40617522 / 29380423),
+    (8663915743 / 2820520608, -68118460800 / 10900136933, 14199869525 / 1410260304,
+     -318862633887 / 49829197408, 2019193451 / 616988883, -110615467 / 29380423),
+    (-12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072,
+     701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423),
+)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.9, 0.2, 10.0, -1 / 5
+_EPS = sys.float_info.epsilon
+_SQRT2 = 2**0.5
+# where IEEE arithmetic would give inf or nan, Python floats raise one of these
+_FLOAT_FAULTS = (ZeroDivisionError, OverflowError)
 
-    scipy takes most of the package's import time and only this module
-    integrates, so the closed-form analyses never load it.  Call sites look
-    this name up at call time, which lets a caller swap it for a wrapper.
+
+def _rms(a: float, b: float) -> float:
+    return math.sqrt(a * a + b * b) / _SQRT2
+
+
+def _initial_step(fun, t0, x, y, fx, fy, interval, max_step, d, rtol, atol) -> float:
+    # the starting-step rule of Hairer, Norsett & Wanner, Sec. II.4
+    try:
+        sx, sy = atol + abs(x) * rtol, atol + abs(y) * rtol
+        d0, d1 = _rms(x / sx, y / sy), _rms(fx / sx, fy / sy)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+        gx, gy = fun(t0 + h0 * d, (x + h0 * d * fx, y + h0 * d * fy))
+        d2 = _rms((gx - fx) / sx, (gy - fy) / sy) / h0
+    except _FLOAT_FAULTS:
+        return 0.0  # h0 = 0 when the field is infinite, and the rule gives 0 then
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval, max_step)
+
+
+def _dense_output(t_old, h, x_old, y_old, kx, ky):
+    """The quartic interpolant `sol(t)` of one step from t_old to t_old + h."""
+    qx = [sum(k * p for k, p in zip(kx, col)) for col in _P]
+    qy = [sum(k * p for k, p in zip(ky, col)) for col in _P]
+
+    def sol(t):
+        s1 = (t - t_old) / h
+        s2 = s1 * s1
+        s3 = s2 * s1
+        s4 = s3 * s1
+        return (x_old + h * (qx[0] * s1 + qx[1] * s2 + qx[2] * s3 + qx[3] * s4),
+                y_old + h * (qy[0] * s1 + qy[1] * s2 + qy[2] * s3 + qy[3] * s4))
+
+    return sol
+
+
+def _brentq(f, xpre, xcur, xtol=4 * _EPS, rtol=4 * _EPS, maxiter=100) -> float:
+    """Root of f bracketed by [xpre, xcur]: Brent's method as the classic
+    `brentq` runs it, step for step; a zero divisor means bisect, as the
+    inf or nan it gives in IEEE arithmetic does there."""
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry  # good short step
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations")
+
+
+def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, events=None,
+              rtol=1e-3, atol=1e-6, max_step=math.inf) -> SimpleNamespace:
+    """Integrate `fun(t, (x, y)) -> (dx/dt, dy/dt)` by the RK45 contract.
+
+    Standard RK45 initial step and controller (RMS error norm, safety 0.9,
+    step factors 0.2-10, no growth right after a rejection); events located
+    on the dense output, honouring `.terminal` and `.direction`; `t_eval`
+    (ordered along `t_span`) sampled from it.  A stage that divides by zero
+    or overflows rejects the step, as an inf or nan error norm does, so a
+    blow-up ends in a step-size underflow.  Returns `t`, `y` (2 x n),
+    `t_events`, `y_events`, `status` (0 end of span, 1 terminal event, -1
+    step-size underflow) and `nfev` (2 + 6 per attempted step).  Call sites
+    look this name up at call time, so a caller can swap in a wrapper.
     """
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    if method != "RK45":
+        raise ValueError(f"only method='RK45' is implemented, got {method!r}")
+    t0, tf = float(t_span[0]), float(t_span[1])
+    x, y = float(y0[0]), float(y0[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    if not max_step > 0 or t0 == tf:
+        raise ValueError("`max_step` and the length of `t_span` must be positive.")
+    d = 1.0 if tf > t0 else -1.0
+    samples = [float(v) for v in t_eval] if t_eval is not None else None
+    n_sampled = 0
+    evs = list(events or ())
+    directions = [getattr(ev, "direction", 0) for ev in evs]
+    terminal = [bool(getattr(ev, "terminal", False)) for ev in evs]
+    t_events, y_events = [[] for _ in evs], [[] for _ in evs]
+    g = [ev(t0, (x, y)) for ev in evs]
 
-    return scipy_solve_ivp(*args, **kwargs)
+    t = t0
+    k1x, k1y = fun(t, (x, y))
+    h_abs = _initial_step(fun, t, x, y, k1x, k1y, abs(tf - t0), max_step, d, rtol, atol)
+    nfev = 2
+    ts, us = ([t0], [(x, y)]) if samples is None else ([], [])
+    status = None
+    while status is None:
+        min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while h_abs >= min_step:
+            t_new = t + h_abs * d
+            if d * (t_new - tf) > 0:
+                t_new = tf
+            h = t_new - t
+            h_abs = abs(h)
+            nfev += 6
+            try:
+                k2x, k2y = fun(t + _C2 * h, (x + (_A21 * k1x) * h, y + (_A21 * k1y) * h))
+                k3x, k3y = fun(t + _C3 * h, (x + (_A31 * k1x + _A32 * k2x) * h,
+                                             y + (_A31 * k1y + _A32 * k2y) * h))
+                k4x, k4y = fun(t + _C4 * h, (x + (_A41 * k1x + _A42 * k2x + _A43 * k3x) * h,
+                                             y + (_A41 * k1y + _A42 * k2y + _A43 * k3y) * h))
+                k5x, k5y = fun(t + _C5 * h, (
+                    x + (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x) * h,
+                    y + (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y) * h))
+                k6x, k6y = fun(t + h, (
+                    x + (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x) * h,
+                    y + (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y) * h))
+                x_new = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
+                y_new = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
+                k7x, k7y = fun(t_new, (x_new, y_new))
+                ex = (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x
+                      + _E7 * k7x) * h / (atol + max(abs(x), abs(x_new)) * rtol)
+                ey = (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y
+                      + _E7 * k7y) * h / (atol + max(abs(y), abs(y_new)) * rtol)
+                error = math.sqrt(ex * ex + ey * ey) / _SQRT2
+            except _FLOAT_FAULTS:
+                error = math.inf
+            if error < 1:
+                factor = (_MAX_FACTOR if error == 0
+                          else min(_MAX_FACTOR, _SAFETY * error**_ERROR_EXPONENT))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error**_ERROR_EXPONENT)
+            rejected = True
+        else:
+            status = -1
+            break
+        t_old, x_old, y_old = t, x, y
+        t, x, y = t_new, x_new, y_new
+        if d * (t - tf) >= 0:
+            status = 0
+        active = []
+        if evs:
+            g_new = [ev(t, (x, y)) for ev in evs]
+            active = [i for i, (a, b, s) in enumerate(zip(g, g_new, directions))
+                      if (s >= 0 and a <= 0 <= b) or (s <= 0 and a >= 0 >= b)]
+            g = g_new
+        if active or (samples is not None and n_sampled < len(samples)
+                      and d * (samples[n_sampled] - t) <= 0):
+            sol = _dense_output(t_old, h, x_old, y_old, (k1x, k3x, k4x, k5x, k6x, k7x),
+                                (k1y, k3y, k4y, k5y, k6y, k7y))
+        if active:
+            hits = []
+            for i in active:
+                hits.append((i, _brentq(lambda tt, ev=evs[i]: ev(tt, sol(tt)), t_old, t)))
+            if any(terminal[i] for i in active):
+                hits.sort(key=lambda hit: d * hit[1])
+                last = next(j for j, (i, _) in enumerate(hits) if terminal[i])
+                del hits[last + 1:]
+                status = 1
+                t = hits[-1][1]
+                x, y = sol(t)
+            for i, te in hits:
+                t_events[i].append(te)
+                y_events[i].append(sol(te))
+        if samples is None:
+            ts.append(t)
+            us.append((x, y))
+        else:
+            while n_sampled < len(samples) and d * (samples[n_sampled] - t) <= 0:
+                ts.append(samples[n_sampled])
+                us.append(sol(samples[n_sampled]))
+                n_sampled += 1
+        k1x, k1y = k7x, k7y
+    has_events = events is not None
+    return SimpleNamespace(
+        t=np.array(ts), y=np.array(us).T, status=status, nfev=nfev,
+        t_events=[np.array(te) for te in t_events] if has_events else None,
+        y_events=[np.array(ye) for ye in y_events] if has_events else None)
 
 
 @dataclass(frozen=True)
@@ -109,7 +337,7 @@ def _floor_event(cfg: IntegratorConfig):
 
 def _divergence_event():
     def ev(t, u):
-        return u[0] * u[0] + u[1] * u[1] - DIVERGENCE_BOUND**2
+        return u[0] * u[0] + u[1] * u[1] - DIVERGENCE_BOUND * DIVERGENCE_BOUND
 
     ev.terminal = True
     ev.direction = 1.0
@@ -197,7 +425,8 @@ def _section_crossings(p: ModelParams, center: State, start: State, cfg: Integra
     escape_r = capture_radius if capture_radius is not None else 0.8 * center.x
 
     def escape(t, u):
-        return (u[0] - center.x) ** 2 + (u[1] - center.y) ** 2 - escape_r**2
+        dx, dy = u[0] - center.x, u[1] - center.y
+        return dx * dx + dy * dy - escape_r * escape_r
 
     escape.terminal = True
     escape.direction = 1.0
@@ -375,13 +604,15 @@ def _probe(p: ModelParams, center: State, u0: tuple[float, float], radius: float
     in_r, out_r = radius * 1e-2, radius * 1e2
 
     def ev_in(t, u):
-        return (u[0] - center.x) ** 2 + (u[1] - center.y) ** 2 - in_r**2
+        dx, dy = u[0] - center.x, u[1] - center.y
+        return dx * dx + dy * dy - in_r * in_r
 
     ev_in.terminal = True
     ev_in.direction = -1.0
 
     def ev_out(t, u):
-        return (u[0] - center.x) ** 2 + (u[1] - center.y) ** 2 - out_r**2
+        dx, dy = u[0] - center.x, u[1] - center.y
+        return dx * dx + dy * dy - out_r * out_r
 
     ev_out.terminal = True
     ev_out.direction = 1.0

@@ -18,7 +18,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import allee_lab as al
@@ -290,6 +289,34 @@ def test_criterion_5_runtime(hopf_cycles):
     assert time.perf_counter() - t0 <= 60.0
 
 
+def test_criterion_5_6_oracle_verdicts_pinned(hopf_cycles):
+    # the oracle's answers at the criterion-5/6 points, as the scipy-backed
+    # integrator gave them; the float stepper differs only at rounding level
+    q, h, m = 1.0, 0.12, 0.1
+    s2 = hopf_cycles["s2"]
+    expected = {
+        0.01: (True, 44.86328716037224, 0.02504172770991913, 118, "Inconclusive"),
+        0.02: (True, 45.33293667817861, 0.03570415202619002, 84, "StableFocus"),
+        0.04: (True, 46.395225397277954, 0.05115806700944017, 50, "StableFocus"),
+        -0.02: (False, None, None, 11, "UnstableFocus"),
+    }
+    detections = {**hopf_cycles["detections"], -0.02: hopf_cycles["off_side"]}
+    for delta, (found, period, amplitude, n_crossings, e8_verdict) in expected.items():
+        det = detections[delta]
+        assert det.found is found
+        assert det.stability is (al.CycleStability.REPELLING if found
+                                 else al.CycleStability.INCONCLUSIVE)
+        assert det.forward_terminal is al.TerminalReason.HORIZON_REACHED
+        assert len(det.section_crossings) == n_crossings
+        assert det.period == (period if period is None else pytest.approx(period, rel=1e-9))
+        assert det.amplitude == (amplitude if amplitude is None
+                                 else pytest.approx(amplitude, rel=1e-9))
+        p = al.ModelParams(q=q, s=s2 + delta, h=h, m=m)
+        verdicts = {e.label: al.classify_by_simulation(p, e).value for e in al.full_portrait(p)}
+        assert verdicts == {"E2": "StableNode", "E3": "Saddle", "E5": "Saddle",
+                            "E6": "UnstableNode", "E8": e8_verdict, "E9": "Saddle"}
+
+
 def test_criterion_6_amplitude_scaling(acceptance, hopf_cycles):
     dets = hopf_cycles["detections"]
     amps = [dets[d].amplitude for d in (0.01, 0.02, 0.04)]
@@ -346,8 +373,8 @@ def test_criterion_8_oracle_integrity(acceptance):
     exact = expm(J) @ z0
     errors = []
     for tol in (1e-6, 1e-8, 1e-10):
-        sol = solve_ivp(lambda t, z: J @ z, (0.0, 1.0), z0, method="RK45",
-                        rtol=tol, atol=tol * 1e-2)
+        sol = al.dynamics.solve_ivp(lambda t, z: J @ z, (0.0, 1.0), z0, method="RK45",
+                                    rtol=tol, atol=tol * 1e-2)
         errors.append(float(np.hypot(*(sol.y[:, -1] - exact))))
     assert errors[0] > errors[1] > errors[2]
     slope = (math.log(errors[0]) - math.log(errors[2])) / (math.log(1e-6) - math.log(1e-10))

@@ -188,6 +188,26 @@ class TestSimulate:
         assert main(argv) == 2
         assert "predator density must be non-negative, got y = -1.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x0, y0, stdout", [
+        ("1e-7", "1e300", "t,x,y\n0.0,1e-07,1e+300\n"),
+        ("1e300", "1e300", "t,x,y\n0.0,1e+300,1e+300\n"),
+        ("0.5", "1e154", "t,x,y\n0.0,0.5,1e+154\n"),
+    ])
+    def test_overflowing_start_stops_as_diverged(self, x0, y0, stdout):
+        # every stage overflows to inf/nan, which rejects each step until the
+        # step size underflows; only the initial row is written
+        res = run_cli("simulate", "--q=1", "--s=1", "--h=0.1", "--m=0.2", "--tmax=20",
+                      f"--x0={x0}", f"--y0={y0}")
+        assert (res.returncode, res.stdout, res.stderr) == (0, stdout, "")
+
+    def test_log_uniform_starts_exit_0_or_2(self, capsys):
+        rng = np.random.default_rng(3141)
+        for x0, y0 in 10.0 ** rng.uniform(-7.0, 300.0, size=(60, 2)):
+            argv = ["simulate", "--q=1", "--s=1", "--h=0.1", "--m=0.2", "--tmax=20",
+                    f"--x0={float(x0)!r}", f"--y0={float(y0)!r}"]
+            assert main(argv) in (0, 2), argv
+        capsys.readouterr()
+
 
 class TestSweep:
     def test_boundary_count_transition_across_fold(self, tmp_path):
@@ -261,23 +281,27 @@ class TestSweep:
                    for r in rows[1:])
 
 
-class TestScipyLoadedOnlyToIntegrate:
-    def test_closed_form_commands_leave_scipy_unloaded(self, tmp_path):
+class TestNoCommandLoadsScipy:
+    def test_no_command_loads_scipy(self, tmp_path):
         # a fresh interpreter: this one imported scipy with the tests
         out = str(tmp_path / "out")
         script = f"""
 import sys
-import allee_lab, allee_lab.cli as cli
+import allee_lab as al, allee_lab.cli as cli
 for argv in (["analyze", "--q=1", "--s=1", "--h=0.12", "--m=0.1"],
              ["hopf", "--q=1", "--h=0.12", "--m=0.1"],
              ["bt", "--q=1", "--m=0.1"],
              ["sweep", "--parameter=h", "--lo=0.2", "--hi=0.3", "--steps=11",
-              "--q=1", "--s=1", "--m=0.2"]):
+              "--q=1", "--s=1", "--m=0.2"],
+             ["simulate", "--q=1", "--s=1", "--h=0.21", "--m=0.2", "--x0=0.71",
+              "--y0=0.01", "--tmax=5"]):
     assert cli.main([*argv, "--out", {out!r}]) == 0, argv
     assert "scipy" not in sys.modules, argv
-assert cli.main(["simulate", "--q=1", "--s=1", "--h=0.21", "--m=0.2", "--x0=0.71",
-                 "--y0=0.01", "--tmax=5", "--out", {out!r}]) == 0
-assert "scipy" in sys.modules
+p = al.ModelParams(q=1, s=1.0, h=0.12, m=0.1)
+assert not al.detect_cycle(p, al.State(0.3, 0.3)).found
+assert "scipy" not in sys.modules
+assert al.classify_by_simulation(p, al.State(0.3, 0.3)) is al.SimVerdict.STABLE_FOCUS
+assert "scipy" not in sys.modules
 """
         res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 import allee_lab as al
 import allee_lab.dynamics as dynamics
 from allee_lab.errors import DomainViolation, NoCrossings
-from helpers import random_params, sim_agrees
+from helpers import random_params, random_state, sim_agrees
 
 SC = al.StabilityClass
 SV = al.SimVerdict
@@ -91,12 +92,95 @@ class TestIntegratorAccuracy:
         exact = expm(J) @ z0
         errors = []
         for tol in (1e-6, 1e-8, 1e-10):
-            sol = solve_ivp(lambda t, z: J @ z, (0.0, 1.0), z0, method="RK45",
-                            rtol=tol, atol=tol * 1e-2)
+            sol = dynamics.solve_ivp(lambda t, z: J @ z, (0.0, 1.0), z0, method="RK45",
+                                     rtol=tol, atol=tol * 1e-2)
             errors.append(float(np.hypot(*(sol.y[:, -1] - exact))))
         assert errors[0] > errors[1] > errors[2]
         slope = (math.log(errors[0]) - math.log(errors[2])) / (math.log(1e-6) - math.log(1e-10))
         assert 0.5 <= slope <= 1.5
+
+
+def _reference_runs():
+    """Seeded integrate-style runs: both flow directions, both time
+    directions, max_step inf and 1, three tolerance pairs, with the floor,
+    divergence and a section event."""
+    rng = np.random.default_rng(1906)
+    for k in range(96):
+        p = random_params(rng)
+        u0 = random_state(rng)
+        reverse, backward = bool(k & 1), bool(k & 2)
+        max_step = (math.inf, 1.0)[(k >> 2) & 1]
+        rtol, atol = ((1e-6, 1e-9), (1e-8, 1e-10), (1e-10, 1e-12))[k % 3]
+        section_y = float(rng.uniform(0.1, 1.0))
+
+        def section(t, u, c=section_y):
+            return u[1] - c
+
+        section.direction = float((k >> 3) % 3 - 1)
+        cfg = al.IntegratorConfig(rel_tol=rtol, abs_tol=atol, max_step=max_step)
+        events = [dynamics._floor_event(cfg), dynamics._divergence_event(), section]
+        span = (0.0, -60.0) if backward else (0.0, 60.0)
+        kwargs = dict(method="RK45", rtol=rtol, atol=atol, max_step=max_step, events=events)
+        yield dynamics._rhs(p, reverse), span, u0, kwargs
+    # starts whose stages overflow: every step is rejected until it underflows
+    p = al.ModelParams(q=1, s=1, h=0.1, m=0.2)
+    cfg = al.IntegratorConfig()
+    for u0 in ((1e-7, 1e300), (1e300, 1e300), (0.5, 1e154)):
+        events = [dynamics._floor_event(cfg), dynamics._divergence_event()]
+        yield dynamics._rhs(p), (0.0, 20.0), u0, dict(rtol=1e-8, atol=1e-10, events=events)
+
+
+class TestSolverAgainstScipy:
+    """scipy's RK45 is the reference the package's stepper was ported from."""
+
+    def test_seeded_runs_match_rk45(self):
+        runs = same_nfev = 0
+        statuses = set()
+        for rhs, span, u0, kwargs in _reference_runs():
+            with np.errstate(all="ignore"):
+                ref = scipy_solve_ivp(rhs, span, u0, **kwargs)
+            got = dynamics.solve_ivp(rhs, span, u0, **kwargs)
+            runs += 1
+            statuses.add((got.status, tuple(len(te) > 0 for te in got.t_events[:2])))
+            assert got.status == ref.status
+            for t_got, t_ref, y_got in zip(got.t_events, ref.t_events, got.y_events):
+                assert len(t_got) == len(t_ref) == len(y_got)
+                assert np.all(np.abs(t_got - t_ref) <= 1e-12 * np.abs(t_ref))
+            same_nfev += got.nfev == ref.nfev and len(got.t) == len(ref.t)
+        assert same_nfev >= 0.95 * runs
+        # the set reaches the horizon, the floor, the divergence bound and a
+        # step-size underflow
+        assert {(0, (False, False)), (1, (True, False)), (1, (False, True)),
+                (-1, (False, False))} <= statuses
+
+    def test_t_eval_samples_match_rk45(self):
+        p = al.ModelParams(q=1, s=0.52, h=0.12, m=0.1)
+        tt = np.linspace(0.0, 45.3, 2000)
+        for reverse in (False, True):
+            kwargs = dict(method="RK45", rtol=1e-10, atol=1e-12, t_eval=tt)
+            ref = scipy_solve_ivp(dynamics._rhs(p, reverse), (0.0, 45.3), (0.33, 0.3), **kwargs)
+            got = dynamics.solve_ivp(dynamics._rhs(p, reverse), (0.0, 45.3), (0.33, 0.3), **kwargs)
+            assert got.status == ref.status == 0 and got.nfev == ref.nfev
+            assert np.array_equal(got.t, tt)
+            assert np.max(np.abs(got.y - ref.y)) <= 1e-12
+
+    def test_brentq_matches_scipy_on_dense_output(self):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(44)
+        for _ in range(200):
+            kx, ky = rng.normal(size=6), rng.normal(size=6)
+            t_old, h = float(rng.uniform(-50, 50)), float(rng.choice([-1, 1]) * rng.uniform(1e-3, 2))
+            sol = dynamics._dense_output(t_old, h, 0.3, 0.4, tuple(kx), tuple(ky))
+            ends = (sol(t_old)[1], sol(t_old + h)[1])
+            level = float(rng.uniform(min(ends), max(ends)))
+
+            def event(t):
+                return sol(t)[1] - level
+
+            expected = brentq(event, t_old, t_old + h, xtol=4 * eps, rtol=4 * eps)
+            assert dynamics._brentq(event, t_old, t_old + h) == expected
+        with pytest.raises(ValueError, match="different signs"):
+            dynamics._brentq(lambda t: t * t + 1.0, -1.0, 1.0)
 
 
 class TestDetectCycle:
