@@ -25,15 +25,14 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibria import (
-    DISCRIMINANT_RTOL,
-    Equilibrium,
-    discriminants,
-    solve_branch_diagonal,
+    BT_JAC_DET_TOL, CUSP_BASE_TOL, F20_RTOL, HOPF_TRACE_RTOL, PHI_RTOL, TRANSVERSALITY_TOL,
+    WEAK_CENTER_RTOL, Equilibrium, _diagonal_roots, _h3, _s1, _s_trace_zero, linearize,
 )
 from .errors import (
     CuspConditionsViolated,
@@ -103,12 +102,10 @@ def sotomayor_saddle_node(p: ModelParams, e: Equilibrium | State, bif_param: str
     reproducible across runs and machines.
     """
     d = derivatives(p, State(e.x, e.y))
-    tr = d.f1_x + d.f2_y
-    det = d.f1_x * d.f2_y - d.f1_y * d.f2_x
-    norm = math.sqrt(d.f1_x**2 + d.f1_y**2 + d.f2_x**2 + d.f2_y**2)
-    if abs(det) > 1e-9 * max(norm * norm, 1e-30):
-        raise NoZeroEigenvalue(f"det(J) = {det:.3e} is not ~ 0")
-    if abs(tr) <= 1e-9 * max(norm, 1e-30):
+    lin = linearize(d)
+    if not lin.det_zero:
+        raise NoZeroEigenvalue(f"det(J) = {lin.det:.3e} is not ~ 0")
+    if lin.tr_zero:
         raise NotSemiDegenerate("zero eigenvalue is not simple (trace ~ 0)")
 
     v = (1.0, -d.f1_x / d.f1_y)
@@ -123,7 +120,7 @@ def sotomayor_saddle_node(p: ModelParams, e: Equilibrium | State, bif_param: str
     t2 = w[0] * quad1 + w[1] * quad2
     verdict = (
         SotomayorVerdict.SADDLE_NODE_BIFURCATION
-        if abs(t1) > 1e-12 and abs(t2) > 1e-12
+        if abs(t1) > TRANSVERSALITY_TOL and abs(t2) > TRANSVERSALITY_TOL
         else SotomayorVerdict.DEGENERATE
     )
     return SotomayorReport(v=v, w=w, transversality1=t1, transversality2=t2, verdict=verdict)
@@ -149,18 +146,14 @@ class HopfReport:
     direction: HopfDirection
 
 
-def _diagonal_root(p: ModelParams, which: str) -> float:
-    d = discriminants(p)
-    rel = d.delta2 / max(1.0, d.C * d.C)
-    if rel <= DISCRIMINANT_RTOL:
+def _pair_member(p: ModelParams, which: str) -> float:
+    # x of E8 or E9, from the diagonal solver that full_portrait uses
+    pair = _diagonal_roots(p)
+    if len(pair) != 2:
         raise HopfInadmissible("diagonal equilibrium pair does not exist (discriminant <= 0)")
-    big = 0.5 * (d.C + d.D)
-    small = (p.h * d.C) / big
-    if which == "E8":
-        return big
-    if which == "E9":
-        return small
-    raise ValueError(f"which must be 'E8' or 'E9', got {which!r}")
+    if which not in ("E8", "E9"):
+        raise ValueError(f"which must be 'E8' or 'E9', got {which!r}")
+    return pair[which == "E9"]
 
 
 def hopf_critical_s(p: ModelParams, which: str = "E8") -> float:
@@ -171,17 +164,34 @@ def hopf_critical_s(p: ModelParams, which: str = "E8") -> float:
     else raises HopfInadmissible.  p.s is ignored: the critical value depends
     only on (q, h, m).
     """
-    x = _diagonal_root(p, which)
+    x = _pair_member(p, which)
     if which == "E8" and not p.m < x:
         raise HopfInadmissible(f"need m < x8 for a weak center at E8 (m={p.m}, x8={x})")
     if which == "E9" and not p.m > x:
         raise HopfInadmissible(f"need m > x9 for a weak center at E9 (m={p.m}, x9={x})")
-    s_crit = (2.0 * x + p.q * x - 1.0) / (p.m - x)
+    s_crit = _s_trace_zero(p.q, p.m, x)
     if not s_crit > 0:
         raise HopfInadmissible(
             f"critical growth rate {s_crit} is not positive, no admissible Hopf point"
         )
     return s_crit
+
+
+def _lyapunov_terms(a: float, b: float, c: float, t: TaylorCoefficients) -> tuple[float, ...]:
+    # the eight grouped terms of the sum in Perko, Differential Equations and
+    # Dynamical Systems, section 4.4; the last one carries the cubic part
+    return (
+        a * c * (t.a11**2 + t.a11 * t.b02 + t.a02 * t.b11),
+        a * b * (t.b11**2 + t.a20 * t.b11 + t.a11 * t.b02),
+        # + 0.0: at a02 = 0 the product is -0.0 (a11 = -q), reported as 0.0
+        c * c * (t.a11 * t.a02 + 2.0 * t.a02 * t.b02) + 0.0,
+        -2.0 * a * c * (t.b02**2 - t.a20 * t.a02),
+        -2.0 * a * b * (t.a20**2 - t.b20 * t.b02),
+        -b * b * (2.0 * t.a20 * t.b20 + t.b11 * t.b20),
+        (b * c - 2.0 * a * a) * (t.b11 * t.b02 - t.a11 * t.a20),
+        -(a * a + b * c) * (3.0 * (c * t.b03 - b * t.a30) + 2.0 * a * (t.a21 + t.b12)
+                            + (c * t.a12 - b * t.b21)),
+    )
 
 
 def lyapunov_number(a: float, b: float, c: float, d: float, t: TaylorCoefficients) -> float:
@@ -192,44 +202,20 @@ def lyapunov_number(a: float, b: float, c: float, d: float, t: TaylorCoefficient
     expression stays the generic one.
     """
     delta = a * d - b * c
-    if not (delta > 0 and abs(a + d) <= 1e-8 * max(1.0, abs(a), abs(d))):
+    if not (delta > 0 and abs(a + d) <= WEAK_CENTER_RTOL * max(1.0, abs(a), abs(d))):
         raise NotAWeakCenter(f"need a + d = 0 and Delta > 0, got trace={a + d}, Delta={delta}")
-    quad = (
-        a * c * (t.a11**2 + t.a11 * t.b02 + t.a02 * t.b11)
-        + a * b * (t.b11**2 + t.a20 * t.b11 + t.a11 * t.b02)
-        + c * c * (t.a11 * t.a02 + 2.0 * t.a02 * t.b02)
-        - 2.0 * a * c * (t.b02**2 - t.a20 * t.a02)
-        - 2.0 * a * b * (t.a20**2 - t.b20 * t.b02)
-        - b * b * (2.0 * t.a20 * t.b20 + t.b11 * t.b20)
-        + (b * c - 2.0 * a * a) * (t.b11 * t.b02 - t.a11 * t.a20)
-    )
-    cubic = (a * a + b * c) * (
-        3.0 * (c * t.b03 - b * t.a30)
-        + 2.0 * a * (t.a21 + t.b12)
-        + (c * t.a12 - b * t.b21)
-    )
-    return -3.0 * math.pi / (2.0 * b * delta**1.5) * (quad - cubic)
+    # summed left to right, as the closed form is written
+    total = functools.reduce(operator.add, _lyapunov_terms(a, b, c, t))
+    return -3.0 * math.pi / (2.0 * b * delta**1.5) * total
 
 
 def phi_terms(t: TaylorCoefficients) -> tuple[float, ...]:
     """The eight grouped terms of the Lyapunov-number sum for this model.
 
-    With a = a10, b = a01, c = b10 and the prey component quadratic
-    (a02 = 0, no cubic a-terms), the generic formula collapses to eight
-    terms phi_1..phi_8 with phi_3 = 0.
+    They are lyapunov_number's terms with a = a10, b = a01, c = b10.  The
+    prey component is quadratic (a02 = 0, no cubic a-terms), so phi_3 = 0.
     """
-    a, b, c = t.a10, t.a01, t.b10
-    phi1 = a * c * (t.a11**2 + t.a11 * t.b02)
-    phi2 = a * b * (t.b11**2 + t.a20 * t.b11 + t.a11 * t.b02)
-    phi3 = 0.0
-    phi4 = -2.0 * a * c * t.b02**2
-    phi5 = -2.0 * a * b * (t.a20**2 - t.b20 * t.b02)
-    phi6 = -b * b * (2.0 * t.a20 * t.b20 + t.b11 * t.b20)
-    phi7 = (b * c - 2.0 * a * a) * (t.b11 * t.b02 - t.a11 * t.a20)
-    phi8 = -(a * a + b * c) * (
-        3.0 * (c * t.b03 - b * t.a30) + 2.0 * a * t.b12 - b * t.b21
-    )
-    return (phi1, phi2, phi3, phi4, phi5, phi6, phi7, phi8)
+    return _lyapunov_terms(t.a10, t.a01, t.b10, t)
 
 
 def first_lyapunov_coefficient(p: ModelParams, which: str = "E8") -> HopfReport:
@@ -240,12 +226,12 @@ def first_lyapunov_coefficient(p: ModelParams, which: str = "E8") -> HopfReport:
     direction: negative = supercritical (stable cycle), positive =
     subcritical (unstable cycle).
     """
-    x = _diagonal_root(p, which)
+    x = _pair_member(p, which)
     t = taylor_at(p, State(x, x))
     a, b, c, d = t.a10, t.a01, t.b10, t.b01
     tr = a + d
     M = a * d - b * c
-    if abs(tr) > 1e-10 * max(1.0, abs(a), abs(d)):
+    if abs(tr) > HOPF_TRACE_RTOL * max(1.0, abs(a), abs(d)):
         raise NotAWeakCenter(f"trace {tr:.3e} not zero: s is not at the critical value")
     if not M > 0:
         raise NotAWeakCenter(f"det {M:.3e} not positive: equilibrium is not a center candidate")
@@ -253,7 +239,7 @@ def first_lyapunov_coefficient(p: ModelParams, which: str = "E8") -> HopfReport:
     phi = phi_terms(t)
     sigma = lyapunov_number(a, b, c, d, t)
     phi_scale = sum(abs(v) for v in phi)
-    if phi_scale == 0.0 or abs(sum(phi)) <= 1e-12 * phi_scale:
+    if phi_scale == 0.0 or abs(sum(phi)) <= PHI_RTOL * phi_scale:
         direction = HopfDirection.UNDETERMINED
     elif sigma < 0:
         direction = HopfDirection.SUPERCRITICAL
@@ -304,10 +290,10 @@ def cusp_base_params(q: float, m: float) -> ModelParams:
     CuspConditionsViolated when that growth rate is not admissible
     (requires m < 2*h3).
     """
-    h3 = 1.0 / (4.0 * (q + 1.0))
-    if abs(m - 2.0 * h3) <= 1e-9:
+    h3 = _h3(q)
+    if abs(m - 2.0 * h3) <= CUSP_BASE_TOL:
         raise CuspConditionsViolated(f"m = 2*h3 = {2 * h3}: trace cannot vanish at the fold point")
-    s1 = (4.0 * h3 - 1.0) / (2.0 * (m - 2.0 * h3))
+    s1 = _s1(h3, m)
     if not s1 > 0:
         raise CuspConditionsViolated(
             f"critical growth rate s1 = {s1} is not positive (need m < {2 * h3})"
@@ -315,21 +301,15 @@ def cusp_base_params(q: float, m: float) -> ModelParams:
     return ModelParams(q=q, s=s1, h=h3, m=m)
 
 
-def _check_cusp_base(p: ModelParams) -> tuple[float, float]:
-    h3 = 1.0 / (4.0 * (p.q + 1.0))
-    if abs(p.h - h3) > 1e-9:
+def _check_cusp_base(p: ModelParams) -> ModelParams:
+    """The cusp base of p's (q, m); raises unless p's h and s sit on it."""
+    h3 = _h3(p.q)
+    if abs(p.h - h3) > CUSP_BASE_TOL:
         raise CuspConditionsViolated(f"h = {p.h} is not the diagonal fold value h3 = {h3}")
     base = cusp_base_params(p.q, p.m)  # re-raises on m/s1 problems
-    if abs(p.s - base.s) > 1e-9 * max(1.0, abs(base.s)):
+    if abs(p.s - base.s) > CUSP_BASE_TOL * max(1.0, abs(base.s)):
         raise CuspConditionsViolated(f"s = {p.s} is not the cusp value s1 = {base.s}")
-    return h3, base.s
-
-
-def _quad_taylor(p: ModelParams, x0: float, y0: float) -> tuple[dict[str, float], dict[str, float]]:
-    t = taylor_at(p, State(x0, y0))
-    a = {"00": t.a00, "10": t.a10, "01": t.a01, "20": t.a20, "11": t.a11, "02": 0.0}
-    b = {"00": t.b00, "10": t.b10, "01": t.b01, "20": t.b20, "11": t.b11, "02": t.b02}
-    return a, b
+    return base
 
 
 def _ladder(p_base: ModelParams, h3: float, s1: float, eta: tuple[float, float]) -> tuple[dict, bool]:
@@ -337,7 +317,9 @@ def _ladder(p_base: ModelParams, h3: float, s1: float, eta: tuple[float, float])
     q, m = p_base.q, p_base.m
     x7 = 2.0 * h3
     p = ModelParams(q=q, s=s1 + eta[1], h=h3 + eta[0], m=m)
-    a, b = _quad_taylor(p, x7, x7)
+    t = taylor_at(p, State(x7, x7))
+    a = {"00": t.a00, "10": t.a10, "01": t.a01, "20": t.a20, "11": t.a11, "02": 0.0}
+    b = {"00": t.b00, "10": t.b10, "01": t.b01, "20": t.b20, "11": t.b11, "02": t.b02}
 
     # straighten the linear part: u2 = u1, v2 = a10*u1 + a01*v1
     c = {
@@ -380,7 +362,7 @@ def _ladder(p_base: ModelParams, h3: float, s1: float, eta: tuple[float, float])
 
     mirrored = False
     scale = max(1.0, abs(f["11"]))
-    if abs(f["20"]) <= 1e-12 * scale:
+    if abs(f["20"]) <= F20_RTOL * scale:
         raise SignAssumptionViolated("quadratic coefficient f20 vanishes; chain inapplicable")
     if f["20"] > 0:
         # mirrored branch: (v, t) -> (-v, -t) flips the sign of f20
@@ -437,11 +419,11 @@ def bt_normal_form(
     the determinant of the central-difference Jacobian of (l00, l01) with
     respect to eta at 0, which is computed once per (q, m, jac_step).
     """
-    h3, s1 = _check_cusp_base(p_base)
+    base = _check_cusp_base(p_base)
     if math.hypot(*eta) > 1e-2:
         raise ValueError(f"perturbation {eta} too large; the chain is local (|eta| <= 1e-2)")
 
-    stages, mirrored = _ladder(p_base, h3, s1, eta)
+    stages, mirrored = _ladder(p_base, base.h, base.s, eta)
     jac_det = _unfolding_jacobian_det(p_base.q, p_base.m, jac_step)
 
     return BTReport(
@@ -454,5 +436,5 @@ def bt_normal_form(
         h11=stages["h"]["11"],
         mirrored=mirrored,
         jac_det=jac_det,
-        verdict=BTVerdict.BT_CODIM2 if jac_det > 1e-6 else BTVerdict.DEGENERATE,
+        verdict=BTVerdict.BT_CODIM2 if jac_det > BT_JAC_DET_TOL else BTVerdict.DEGENERATE,
     )

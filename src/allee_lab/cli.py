@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import reporting
-from .bifurcations import bt_normal_form, cusp_base_params, first_lyapunov_coefficient, hopf_critical_s
+from .bifurcations import (_check_cusp_base, bt_normal_form, cusp_base_params,
+                           first_lyapunov_coefficient, hopf_critical_s)
 from .dynamics import IntegratorConfig, integrate
 from .errors import AlleeLabError
 from .model import ModelParams, State
@@ -121,10 +122,9 @@ def _cmd_bt(args: argparse.Namespace) -> int:
     _check_format(args, "json")
     _require(args, "q", "m")
     base = cusp_base_params(args.q, args.m)
-    if args.h is not None and abs(args.h - base.h) > 1e-9:
-        raise AlleeLabError(f"--h {args.h} is not the cusp harvest h3 = {base.h}")
-    if args.s is not None and abs(args.s - base.s) > 1e-9 * max(1.0, abs(base.s)):
-        raise AlleeLabError(f"--s {args.s} is not the cusp growth rate s1 = {base.s}")
+    _check_cusp_base(ModelParams(q=args.q, m=args.m,
+                                 s=base.s if args.s is None else args.s,
+                                 h=base.h if args.h is None else args.h))
     if args.grid is not None:
         box = args.eta_box if args.eta_box is not None else 1e-3
         values = np.linspace(-box, box, args.grid)

@@ -690,7 +690,7 @@ def classify_by_simulation(p: ModelParams, e, radius: float = 1e-4) -> SimVerdic
     tr_fd = float(J[0, 0] + J[1, 1])
     det_fd = float(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
     disc_fd = tr_fd * tr_fd - 4.0 * det_fd
-    disc_margin = 1e-6 * max(1.0, float(np.linalg.norm(J)) ** 2)
+    disc_margin = 1e-6 * max(1.0, float(np.sum(J * J)))  # squared Frobenius norm
 
     def subtype(stable: bool) -> SimVerdict:
         # Stability itself is decided purely from orbits.  The node/focus

@@ -7,10 +7,16 @@ equation factors as s*y*(1 - y/x)*(y - m):
     Allee line  y = m   with x solving  x^2 - (1 - q*m)*x + h = 0
     diagonal    y = x   with x solving  x^2 - x/(q+1) + h/(q+1) = 0
 
-Each branch is a quadratic with positive sum and product of roots, so the
-roots are computed with the cancellation-free formula (large root first,
-small root from the product) and double roots are recognised through a
-relative tolerance band on the discriminant.
+Each branch is a quadratic with positive sum and product of roots, so one
+solver, `_roots`, computes the roots of all three with the
+cancellation-free formula (large root first, small root from the product)
+and recognises double roots through a relative tolerance band on the
+discriminant.
+
+`linearize` decides the degeneracy bands of a Jacobian once; `classify`,
+the normal-form checks and Sotomayor's test all read its record, and
+`full_portrait` evaluates `derivatives` once per equilibrium.  Every
+tolerance of the closed forms is named in the table below.
 
 `portrait_batch` computes the same quantities for many parameter points at
 once as numpy arrays, and marks the points it cannot decide as exactly as
@@ -21,12 +27,13 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InconsistentInput, NotRepresentable
-from .model import ModelParams, State, _field, derivatives
+from .model import DerivativeBundle, ModelParams, State, _field, _jacobian, derivatives
 
 __all__ = [
     "Branch",
@@ -53,7 +60,7 @@ DISCRIMINANT_RTOL = 1e-10
 MERGE_DISTANCE = 1e-10
 # residual above which a point is rejected as "not an equilibrium"
 RESIDUAL_TOL = 1e-9
-# det, trace and node/focus discriminant bands of classify(), relative to
+# det, trace and node/focus discriminant bands of linearize(), relative to
 # the Jacobian's Frobenius norm (squared for det and the discriminant)
 DEGENERACY_RTOL = 1e-9
 # eigenvalue cross-check: real-part sign of a generic class, and the
@@ -64,9 +71,28 @@ EIGEN_ZERO_RTOL = 1e-7
 NORM_FLOOR = 1e-30
 # |denominator| at or below which thresholds() reports an s-value absent
 DENOMINATOR_TOL = 1e-12
+# |c20|, |g20|, |g11| at or below which a normal-form coefficient is zero
+COEFF_TOL = 1e-9
+# |w.f_mu| and |w.D^2f(v, v)| at or below which Sotomayor's test fails
+TRANSVERSALITY_TOL = 1e-12
+# weak-centre trace bands, relative to max(1, |a|, |d|), of
+# first_lyapunov_coefficient and of the generic lyapunov_number
+HOPF_TRACE_RTOL = 1e-10
+WEAK_CENTER_RTOL = 1e-8
+# |sum(phi)| / sum(|phi|) at or below which the Hopf direction is undetermined
+PHI_RTOL = 1e-12
+# |f20| / max(1, |f11|) at or below which the BT chain stops
+F20_RTOL = 1e-12
+# |det| of the BT unfolding Jacobian above which the point is codimension 2
+BT_JAC_DET_TOL = 1e-6
+# |m - 2*h3|, |h - h3| and |s - s1| / max(1, |s1|) that count as on the cusp base
+CUSP_BASE_TOL = 1e-9
+# |value - surface| / max(1, |surface|) that flags a critical surface as hit
+SURFACE_RTOL = 1e-9
 # factor by which portrait_batch() widens each band above before it trusts
-# its own decision: its norm and residual are not bit-equal to the scalar
-# ones, so rows near a band edge are left to the scalar path
+# its own decision: its linearisation equals linearize()'s bit for bit, its
+# residual (np.hypot against math.hypot) does not, so rows near a band edge
+# are left to the scalar path
 BATCH_MARGIN = 4.0
 
 
@@ -158,42 +184,128 @@ class Thresholds:
     absent: dict[str, str] = field(default_factory=dict)
 
 
-def _rel_disc(disc: float, root_sum: float, root_prod: float) -> float:
-    return disc / max(1.0, root_sum * root_sum, root_prod * root_prod)
+class Linearization(NamedTuple):
+    """Trace, determinant, eigenvalue discriminant and Frobenius norm of a
+    Jacobian, and the DEGENERACY_RTOL bands they fall in."""
+
+    tr: float
+    det: float
+    disc: float  # tr^2 - 4*det
+    norm: float
+    det_zero: bool
+    tr_zero: bool
+    real: bool  # disc > 0 or inside its band: a node, not a focus
 
 
-def _stable_roots(root_sum: float, root_prod: float, disc: float) -> tuple[float, float]:
+def linearize(d: DerivativeBundle) -> Linearization:
+    """The linearisation that classification and every degeneracy check read.
+
+    Raises NotRepresentable when the squared norm is not finite: an entry
+    overflows or is NaN, and no band means anything then.
+    """
+    a, b, c, e = d.f1_x, d.f1_y, d.f2_x, d.f2_y
+    norm = math.sqrt(a * a + b * b + c * c + e * e)
+    if not math.isfinite(norm * norm):
+        raise NotRepresentable(
+            f"linearisation [[{a}, {b}], [{c}, {e}]] is not representable in double precision"
+        )
+    tr = a + e
+    det = a * e - b * c
+    disc = tr * tr - 4.0 * det
+    band = DEGENERACY_RTOL * max(norm * norm, NORM_FLOOR)
+    return Linearization(tr, det, disc, norm, det_zero=abs(det) <= band,
+                         tr_zero=abs(tr) <= DEGENERACY_RTOL * max(norm, NORM_FLOOR),
+                         real=abs(disc) <= band or disc > 0)
+
+
+def _linearize_at(d: DerivativeBundle, label: str, u: State) -> Linearization:
+    try:
+        return linearize(d)
+    except NotRepresentable as err:
+        raise NotRepresentable(f"equilibrium {label} at ({u.x}, {u.y}): its {err}") from None
+
+
+def _make_equilibrium(u: State, branches: tuple[Branch, ...], labels: tuple[str, ...],
+                      lin: Linearization, cls: StabilityClass | None = None) -> Equilibrium:
+    r = cmath.sqrt(complex(lin.disc, 0.0))
+    eigenvalues = (0.5 * (lin.tr + r), 0.5 * (lin.tr - r))
+    return Equilibrium(u, branches, labels, lin.tr, lin.det, eigenvalues, cls)
+
+
+# closed forms of the branches and critical surfaces: arithmetic only, so
+# the scalar path and portrait_batch() evaluate the same operations
+
+def _branch_quadratics(q, h, m):
+    """(root sum, root product, discriminant) of the prey-axis, Allee-line
+    and diagonal quadratics, in Branch order."""
+    A = 1.0 - q * m
+    C = 1.0 / (q + 1.0)
+    return ((1.0, h, 1.0 - 4.0 * h),
+            (A, h, A * A - 4.0 * h),
+            (C, h * C, C * C - 4.0 * h / (q + 1.0)))
+
+
+def _h1(q, m):
+    return m - (q + 1.0) * m * m
+
+
+def _h3(q):
+    return 1.0 / (4.0 * (q + 1.0))
+
+
+def _s1(h, m):
+    return (4.0 * h - 1.0) / (2.0 * (m - 2.0 * h))
+
+
+def _s_trace_zero(q, m, x):
+    # growth rate nullifying the trace at (x, x): s2, s3 and the Hopf point
+    return (2.0 * x + q * x - 1.0) / (m - x)
+
+
+def _roots(root_sum: float, root_prod: float, disc: float) -> tuple[float, ...]:
+    """Roots of x^2 - root_sum*x + root_prod = 0 with discriminant disc: none,
+    the fold's double root, or the pair, larger root first."""
+    rel = disc / max(1.0, root_sum * root_sum, root_prod * root_prod)
+    if abs(rel) <= DISCRIMINANT_RTOL:
+        return (0.5 * root_sum,)
+    if rel < 0:
+        return ()
     # root_sum > 0 and root_prod > 0 on every branch, so no cancellation
     big = 0.5 * (root_sum + math.sqrt(disc))
     return big, root_prod / big
 
 
-def _eigenvalues(trace: float, det: float) -> tuple[complex, complex]:
-    disc = trace * trace - 4.0 * det
-    r = cmath.sqrt(complex(disc, 0.0))
-    return (0.5 * (trace + r), 0.5 * (trace - r))
+def _diagonal_roots(p: ModelParams) -> tuple[float, ...]:
+    """(), (x7,) on the diagonal fold, or the pair (x8, x9)."""
+    return _roots(*_branch_quadratics(p.q, p.h, p.m)[2])
 
 
-def _make_equilibrium(p: ModelParams, x: float, y: float, branch: Branch, label: str) -> Equilibrium:
-    d = derivatives(p, State(x, y))
-    tr = d.f1_x + d.f2_y
-    det = d.f1_x * d.f2_y - d.f1_y * d.f2_x
-    return Equilibrium(
-        state=State(x, y),
-        branches=(branch,),
-        labels=(label,),
-        trace=tr,
-        det=det,
-        eigenvalues=_eigenvalues(tr, det),
-    )
+# labels of the fold root and of the pair on each branch
+_BRANCH_LABELS = (("E1", "E2", "E3"), ("E4", "E5", "E6"), ("E7", "E8", "E9"))
+
+
+def _branch_points(p: ModelParams) -> list[tuple[State, Branch, str]]:
+    """Every root of the branch quadratics as (state, branch, label), E1 first."""
+    points = []
+    lines = (0.0, p.m, None)  # y on each branch; None: y = x
+    for branch, quadratic, labels, line in zip(
+            Branch, _branch_quadratics(p.q, p.h, p.m), _BRANCH_LABELS, lines):
+        xs = _roots(*quadratic) if quadratic[0] > 0 else ()
+        for x, label in zip(xs, labels if len(xs) == 1 else labels[1:]):
+            points.append((State(x, x if line is None else line), branch, label))
+    return points
+
+
+def _solve_branch(p: ModelParams, branch: Branch) -> list[Equilibrium]:
+    return [
+        _make_equilibrium(u, (b,), (label,), _linearize_at(derivatives(p, u), label, u))
+        for u, b, label in _branch_points(p) if b is branch
+    ]
 
 
 def discriminants(p: ModelParams) -> BranchDiscriminants:
     """Root sums and discriminants of the Allee-line and diagonal quadratics."""
-    A = 1.0 - p.q * p.m
-    delta1 = A * A - 4.0 * p.h
-    C = 1.0 / (p.q + 1.0)
-    delta2 = C * C - 4.0 * p.h / (p.q + 1.0)
+    _, (A, _, delta1), (C, _, delta2) = _branch_quadratics(p.q, p.h, p.m)
     return BranchDiscriminants(
         A=A,
         B=math.sqrt(delta1) if delta1 >= 0 else None,
@@ -210,17 +322,7 @@ def solve_branch_prey_axis(p: ModelParams) -> list[Equilibrium]:
     Returns [] above the fold (h > 1/4), the double root E1 = (1/2, 0) on
     the fold, and the pair E2 (larger x), E3 (smaller x) below it.
     """
-    disc = 1.0 - 4.0 * p.h
-    rel = _rel_disc(disc, 1.0, p.h)
-    if abs(rel) <= DISCRIMINANT_RTOL:
-        return [_make_equilibrium(p, 0.5, 0.0, Branch.PREY_AXIS, "E1")]
-    if rel < 0:
-        return []
-    big, small = _stable_roots(1.0, p.h, disc)
-    return [
-        _make_equilibrium(p, big, 0.0, Branch.PREY_AXIS, "E2"),
-        _make_equilibrium(p, small, 0.0, Branch.PREY_AXIS, "E3"),
-    ]
+    return _solve_branch(p, Branch.PREY_AXIS)
 
 
 def solve_branch_allee_line(p: ModelParams) -> list[Equilibrium]:
@@ -229,20 +331,7 @@ def solve_branch_allee_line(p: ModelParams) -> list[Equilibrium]:
     Empty when the root sum A = 1 - q*m is non-positive or the discriminant
     is negative; E4 at the fold; otherwise E5 (larger x) and E6 (smaller x).
     """
-    A = 1.0 - p.q * p.m
-    if A <= 0:
-        return []
-    disc = A * A - 4.0 * p.h
-    rel = _rel_disc(disc, A, p.h)
-    if abs(rel) <= DISCRIMINANT_RTOL:
-        return [_make_equilibrium(p, 0.5 * A, p.m, Branch.ALLEE_LINE, "E4")]
-    if rel < 0:
-        return []
-    big, small = _stable_roots(A, p.h, disc)
-    return [
-        _make_equilibrium(p, big, p.m, Branch.ALLEE_LINE, "E5"),
-        _make_equilibrium(p, small, p.m, Branch.ALLEE_LINE, "E6"),
-    ]
+    return _solve_branch(p, Branch.ALLEE_LINE)
 
 
 def solve_branch_diagonal(p: ModelParams) -> list[Equilibrium]:
@@ -251,20 +340,7 @@ def solve_branch_diagonal(p: ModelParams) -> list[Equilibrium]:
     Empty below the fold; E7 = (2h, 2h) at the fold; otherwise E8 (larger x)
     and E9 (smaller x), both with y = x.
     """
-    C = 1.0 / (p.q + 1.0)
-    prod = p.h * C
-    disc = C * C - 4.0 * prod
-    rel = _rel_disc(disc, C, prod)
-    if abs(rel) <= DISCRIMINANT_RTOL:
-        x7 = 0.5 * C  # equals 2h exactly when the discriminant vanishes
-        return [_make_equilibrium(p, x7, x7, Branch.DIAGONAL, "E7")]
-    if rel < 0:
-        return []
-    big, small = _stable_roots(C, prod, disc)
-    return [
-        _make_equilibrium(p, big, big, Branch.DIAGONAL, "E8"),
-        _make_equilibrium(p, small, small, Branch.DIAGONAL, "E9"),
-    ]
+    return _solve_branch(p, Branch.DIAGONAL)
 
 
 def classify(p: ModelParams, e: Equilibrium) -> StabilityClass:
@@ -275,56 +351,38 @@ def classify(p: ModelParams, e: Equilibrium) -> StabilityClass:
     computed independently from the Jacobian matrix; a disagreement raises
     InconsistentInput rather than returning a silently wrong class.
     """
+    return _classify(p, e.state, e.label, derivatives(p, e.state))[1]
+
+
+def _classify(p: ModelParams, u: State, label: str,
+              d: DerivativeBundle) -> tuple[Linearization, StabilityClass]:
     from . import normal_forms  # local import: normal_forms depends on this module
 
-    d = derivatives(p, e.state)
     res = math.hypot(d.f1, d.f2)
     if res > RESIDUAL_TOL:
         raise InconsistentInput(
-            f"point ({e.x}, {e.y}) is not an equilibrium: residual {res:.3e}"
+            f"point ({u.x}, {u.y}) is not an equilibrium: residual {res:.3e}"
         )
-
-    J = d.jacobian
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        norm = float(np.linalg.norm(J))
-    # an inf or NaN entry of J makes the norm non-finite as well
-    if not math.isfinite(norm * norm):
-        raise NotRepresentable(
-            f"equilibrium {e.label} at ({e.x}, {e.y}): its linearisation "
-            f"{J.tolist()} is not representable in double precision"
-        )
-    tr = d.f1_x + d.f2_y
-    det = d.f1_x * d.f2_y - d.f1_y * d.f2_x
-    det_zero = abs(det) <= DEGENERACY_RTOL * max(norm * norm, NORM_FLOOR)
-    tr_zero = abs(tr) <= DEGENERACY_RTOL * max(norm, NORM_FLOOR)
-
-    if det_zero and tr_zero:
-        check = normal_forms.cusp_check(p, e)
-        result = (
-            StabilityClass.CUSP
-            if check.verdict is normal_forms.CuspVerdict.CODIM2_CUSP
-            else StabilityClass.DEGENERATE
-        )
-    elif det_zero:
-        check = normal_forms.saddle_node_check(p, e)
-        result = (
-            StabilityClass.SADDLE_NODE
-            if check.verdict is normal_forms.SaddleNodeVerdict.SADDLE_NODE
-            else StabilityClass.DEGENERATE
-        )
-    elif det < 0:
+    lin = _linearize_at(d, label, u)
+    if lin.det_zero and lin.tr_zero:
+        verdict = normal_forms._cusp_check(d, lin).verdict
+        codim2 = verdict is normal_forms.CuspVerdict.CODIM2_CUSP
+        result = StabilityClass.CUSP if codim2 else StabilityClass.DEGENERATE
+    elif lin.det_zero:
+        verdict = normal_forms._saddle_node_check(d, lin).verdict
+        fold = verdict is normal_forms.SaddleNodeVerdict.SADDLE_NODE
+        result = StabilityClass.SADDLE_NODE if fold else StabilityClass.DEGENERATE
+    elif lin.det < 0:
         result = StabilityClass.SADDLE
-    elif tr_zero:
+    elif lin.tr_zero:
         result = StabilityClass.WEAK_CENTER
+    elif lin.real:
+        result = StabilityClass.STABLE_NODE if lin.tr < 0 else StabilityClass.UNSTABLE_NODE
     else:
-        disc = tr * tr - 4.0 * det
-        if abs(disc) <= DEGENERACY_RTOL * max(norm * norm, NORM_FLOOR) or disc > 0:
-            result = StabilityClass.STABLE_NODE if tr < 0 else StabilityClass.UNSTABLE_NODE
-        else:
-            result = StabilityClass.STABLE_FOCUS if tr < 0 else StabilityClass.UNSTABLE_FOCUS
+        result = StabilityClass.STABLE_FOCUS if lin.tr < 0 else StabilityClass.UNSTABLE_FOCUS
 
-    _check_against_eigenvalues(J, norm, result)
-    return result
+    _check_against_eigenvalues(d.jacobian, lin.norm, result)
+    return lin, result
 
 
 def _check_against_eigenvalues(J: np.ndarray, norm: float, cls: StabilityClass) -> None:
@@ -349,46 +407,36 @@ def _check_against_eigenvalues(J: np.ndarray, norm: float, cls: StabilityClass) 
         )
 
 
-def thresholds(p: ModelParams, x8: float | None = None, x9: float | None = None) -> Thresholds:
+def thresholds(p: ModelParams) -> Thresholds:
     """Evaluate the critical surfaces at the given parameter point.
 
-    s-thresholds with a vanishing denominator are reported absent rather
-    than raising; the same applies to s2/s3 when the diagonal pair does not
-    exist and no explicit root location is supplied.
+    s-thresholds with a vanishing denominator, and s2/s3 when the diagonal
+    pair does not exist, are reported absent rather than raising.
     """
     absent: dict[str, str] = {}
-    h1 = p.m - (p.q + 1.0) * p.m * p.m
-    h3 = 1.0 / (4.0 * (p.q + 1.0))
-
     if abs(p.m - 2.0 * p.h) <= DENOMINATOR_TOL:
         s1 = None
         absent["s1"] = "denominator m - 2h vanishes"
     else:
-        s1 = (4.0 * p.h - 1.0) / (2.0 * (p.m - 2.0 * p.h))
+        s1 = _s1(p.h, p.m)
+    pair = _diagonal_roots(p)
 
-    if x8 is None or x9 is None:
-        d = discriminants(p)
-        if d.D is not None and _rel_disc(d.delta2, d.C, p.h * d.C) > DISCRIMINANT_RTOL:
-            big, small = _stable_roots(d.C, p.h * d.C, d.delta2)
-            x8 = big if x8 is None else x8
-            x9 = small if x9 is None else x9
-
-    def s_crit(x: float | None, name: str) -> float | None:
-        if x is None:
+    def s_crit(k: int, name: str) -> float | None:
+        if len(pair) != 2:
             absent[name] = "diagonal equilibrium does not exist"
             return None
-        if abs(p.m - x) <= DENOMINATOR_TOL:
+        if abs(p.m - pair[k]) <= DENOMINATOR_TOL:
             absent[name] = "denominator m - x vanishes"
             return None
-        return (2.0 * x + p.q * x - 1.0) / (p.m - x)
+        return _s_trace_zero(p.q, p.m, pair[k])
 
     return Thresholds(
-        h1=h1,
+        h1=_h1(p.q, p.m),
         h2=0.25,
-        h3=h3,
+        h3=_h3(p.q),
         s1=s1,
-        s2=s_crit(x8, "s2"),
-        s3=s_crit(x9, "s3"),
+        s2=s_crit(0, "s2"),
+        s3=s_crit(1, "s3"),
         absent=absent,
     )
 
@@ -397,23 +445,22 @@ def full_portrait(p: ModelParams) -> list[Equilibrium]:
     """All equilibria of the system, merged across branches and classified.
 
     Roots from different branches closer than MERGE_DISTANCE are one
-    equilibrium (all branch tags and labels retained).  Returned in label
-    order E1..E9.
+    equilibrium (all branch tags and labels retained), evaluated once at
+    the first root's state.  Returned in label order E1..E9.
     """
-    found: list[Equilibrium] = []
-    for solver in (solve_branch_prey_axis, solve_branch_allee_line, solve_branch_diagonal):
-        for eq in solver(p):
-            for i, other in enumerate(found):
-                if math.hypot(eq.x - other.x, eq.y - other.y) <= MERGE_DISTANCE:
-                    found[i] = replace(
-                        other,
-                        branches=other.branches + eq.branches,
-                        labels=other.labels + eq.labels,
-                    )
-                    break
-            else:
-                found.append(eq)
-    return [replace(eq, classification=classify(p, eq)) for eq in found]
+    found: list[tuple[State, tuple[Branch, ...], tuple[str, ...]]] = []
+    for u, branch, label in _branch_points(p):
+        for i, (other, branches, labels) in enumerate(found):
+            if math.hypot(u.x - other.x, u.y - other.y) <= MERGE_DISTANCE:
+                found[i] = (other, branches + (branch,), labels + (label,))
+                break
+        else:
+            found.append((u, (branch,), (label,)))
+    portrait = []
+    for u, branches, labels in found:
+        lin, cls = _classify(p, u, "+".join(labels), derivatives(p, u))
+        portrait.append(_make_equilibrium(u, branches, labels, lin, cls))
+    return portrait
 
 
 # ---------------------------------------------------------------------------
@@ -442,33 +489,25 @@ class PortraitBatch:
     thresholds: dict[str, np.ndarray]  # h1, h2, h3, s1, s2, s3; NaN where absent
 
 
-def _rel_disc_batch(disc, root_sum, root_prod):
-    return disc / np.maximum(np.maximum(1.0, root_sum * root_sum), root_prod * root_prod)
-
-
 def portrait_batch(q, s, h, m) -> PortraitBatch:
     """Evaluate the generic portrait of the points (q[i], s[i], h[i], m[i]).
 
-    Mirrors the scalar solvers, derivatives() and thresholds() operation by
-    operation, so that + - * / and sqrt give the same floats; the norm and
-    the residual are not bit-equal to the scalar ones, so each band is
-    widened by BATCH_MARGIN before a row is trusted.
+    Shares the closed forms of the scalar path (the branch quadratics,
+    model._jacobian and the critical surfaces) and evaluates linearize()'s
+    operations in its order, so that + - * / and sqrt give the same floats;
+    the residual is not bit-equal to the scalar one, so each band is widened
+    by BATCH_MARGIN before a row is trusted.
     """
     q, s, h, m = (np.asarray(v, dtype=float)[:, None] for v in (q, s, h, m))
     # absent roots and invalid rows compute NaN and inf; they are masked below
     with np.errstate(all="ignore"):
         undecided = ~(np.isfinite(q) & np.isfinite(s) & np.isfinite(h) & np.isfinite(m)
                       & (q > 0) & (s > 0) & (h > 0) & (m > 0) & (m < 1))[:, 0]
-        A = 1.0 - q * m
-        C = 1.0 / (q + 1.0)
+        quadratics = _branch_quadratics(q, h, m)
         xs, ys, present, counts = [], [], [], {}
-        for branch, root_sum, root_prod, admissible, line in (
-            (Branch.PREY_AXIS, 1.0, h, True, 0.0),
-            (Branch.ALLEE_LINE, A, h, A > 0, m),
-            (Branch.DIAGONAL, C, h * C, True, None),
-        ):
-            disc = root_sum * root_sum - 4.0 * root_prod
-            rel = _rel_disc_batch(disc, root_sum, root_prod)
+        for branch, (root_sum, root_prod, disc), line in zip(Branch, quadratics, (0.0, m, None)):
+            admissible = root_sum > 0
+            rel = disc / np.maximum(np.maximum(1.0, root_sum * root_sum), root_prod * root_prod)
             undecided |= (admissible & (np.abs(rel) <= BATCH_MARGIN * DISCRIMINANT_RTOL))[:, 0]
             exists = admissible & (rel > DISCRIMINANT_RTOL)
             counts[branch] = np.where(exists, 2, 0)[:, 0]
@@ -484,20 +523,13 @@ def portrait_batch(q, s, h, m) -> PortraitBatch:
         gap = np.hypot(x[:, pairs[0]] - x[:, pairs[1]], y[:, pairs[0]] - y[:, pairs[1]])
         undecided |= (gap <= BATCH_MARGIN * MERGE_DISTANCE).any(axis=1)
 
-        # the field and Jacobian in the operation order of model.derivatives
+        # the field and the linearisation in the operation order of the scalar path
         f1, f2 = _field(q, s, h, m, x, y)
-        g = y * y * (y - m)
-        g_y = 3.0 * y * y - 2.0 * m * y
-        ix = 1.0 / x
-        ix2 = ix * ix
-        f1_x = 1.0 - 2.0 * x - q * y
-        f1_y = -q * x
-        f2_x = s * g * ix2
-        f2_y = s * (2.0 * y - m - g_y * ix)
+        f1_x, f1_y, f2_x, f2_y = _jacobian(q, s, m, x, y)
+        norm = np.sqrt(f1_x * f1_x + f1_y * f1_y + f2_x * f2_x + f2_y * f2_y)
         tr = f1_x + f2_y
         det = f1_x * f2_y - f1_y * f2_x
         disc = tr * tr - 4.0 * det
-        norm = np.sqrt(f1_x * f1_x + f1_y * f1_y + f2_x * f2_x + f2_y * f2_y)
         saddle, stable = det < 0, tr < 0
         band = BATCH_MARGIN * DEGENERACY_RTOL
         residual = np.hypot(f1, f2)
@@ -531,18 +563,14 @@ def portrait_batch(q, s, h, m) -> PortraitBatch:
         cls = np.where(present, np.where(saddle, kind["SADDLE"], np.where(disc > 0, node, focus)),
                        np.array("", dtype=object))
 
-        # thresholds() and discriminants(), including their own diagonal solve
-        delta1 = A * A - 4.0 * h
-        delta2 = C * C - 4.0 * h / (q + 1.0)
-        diagonal = _rel_disc_batch(delta2, C, h * C) > DISCRIMINANT_RTOL
-        x8 = 0.5 * (C + np.sqrt(delta2))
-        t = {"h1": m - (q + 1.0) * m * m, "h2": np.full_like(q, 0.25),
-             "h3": 1.0 / (4.0 * (q + 1.0))}
-        s_values = {"s1": (np.abs(m - 2.0 * h) <= DENOMINATOR_TOL,
-                           (4.0 * h - 1.0) / (2.0 * (m - 2.0 * h)))}
-        for name, xd in (("s2", x8), ("s3", h * C / x8)):
-            s_values[name] = (~diagonal | (np.abs(m - xd) <= DENOMINATOR_TOL),
-                              (2.0 * xd + q * xd - 1.0) / (m - xd))
+        # thresholds() and discriminants(); s2 and s3 sit at the E8 and E9 above
+        delta1, delta2 = quadratics[1][2], quadratics[2][2]
+        t = {"h1": _h1(q, m), "h2": np.full_like(q, 0.25), "h3": _h3(q)}
+        s_values = {"s1": (np.abs(m - 2.0 * h) <= DENOMINATOR_TOL, _s1(h, m))}
+        for name, k in (("s2", 4), ("s3", 5)):
+            xd = x[:, k:k + 1]
+            s_values[name] = (~present[:, k:k + 1] | (np.abs(m - xd) <= DENOMINATOR_TOL),
+                              _s_trace_zero(q, m, xd))
         finite = np.isfinite(delta1 + delta2 + t["h1"] + t["h3"])
         for name, (absent, value) in s_values.items():
             finite &= absent | np.isfinite(value)

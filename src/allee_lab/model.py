@@ -161,6 +161,14 @@ def _field(q: float, s: float, h: float, m: float, x: float, y: float) -> tuple[
     return x * (1.0 - x) - q * x * y - h, s * y * (1.0 - y / x) * (y - m)
 
 
+def _jacobian(q: float, s: float, m: float, x: float, y: float) -> tuple[float, float, float, float]:
+    # (f1_x, f1_y, f2_x, f2_y); arithmetic only like _field, so arrays work too
+    g = y * y * (y - m)
+    g_y = 3.0 * y * y - 2.0 * m * y
+    ix = 1.0 / x
+    return 1.0 - 2.0 * x - q * y, -q * x, s * g * (ix * ix), s * (2.0 * y - m - g_y * ix)
+
+
 def vector_field(p: ModelParams, u: State) -> np.ndarray:
     """Evaluate the dimensionless vector field at a state with x > 0."""
     if not u.x > 0:
@@ -179,29 +187,22 @@ def derivatives(p: ModelParams, u: State) -> DerivativeBundle:
     q, s, m = p.q, p.s, p.m
     x, y = u.x, u.y
 
-    f1, f2 = _field(q, s, p.h, m, x, y)
-
     g = y * y * (y - m)                # y^3 - m y^2
     g_y = 3.0 * y * y - 2.0 * m * y
     g_yy = 6.0 * y - 2.0 * m
     ix = 1.0 / x
     ix2 = ix * ix
 
+    # positional: keyword arguments make this hot constructor slower
     return DerivativeBundle(
-        f1=f1,
-        f2=f2,
-        f1_x=1.0 - 2.0 * x - q * y,
-        f1_y=-q * x,
-        f2_x=s * g * ix2,
-        f2_y=s * (2.0 * y - m - g_y * ix),
-        f1_xx=-2.0,
-        f1_xy=-q,
-        f1_yy=0.0,
-        f2_xx=-2.0 * s * g * ix2 * ix,
-        f2_xy=s * g_y * ix2,
-        f2_yy=s * (2.0 - g_yy * ix),
-        f2_xxx=6.0 * s * g * ix2 * ix2,
-        f2_xxy=-2.0 * s * g_y * ix2 * ix,
-        f2_xyy=s * g_yy * ix2,
-        f2_yyy=-6.0 * s * ix,
+        *_field(q, s, p.h, m, x, y),    # f1, f2
+        *_jacobian(q, s, m, x, y),      # f1_x, f1_y, f2_x, f2_y
+        -2.0, -q, 0.0,                  # f1_xx, f1_xy, f1_yy
+        -2.0 * s * g * ix2 * ix,        # f2_xx
+        s * g_y * ix2,                  # f2_xy
+        s * (2.0 - g_yy * ix),          # f2_yy
+        6.0 * s * g * ix2 * ix2,        # f2_xxx
+        -2.0 * s * g_y * ix2 * ix,      # f2_xxy
+        s * g_yy * ix2,                 # f2_xyy
+        -6.0 * s * ix,                  # f2_yyy
     )

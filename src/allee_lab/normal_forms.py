@@ -19,12 +19,11 @@ generalized direction has first component 0.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
-from .errors import DomainViolation, NotDoublyDegenerate, NotSemiDegenerate
+from .errors import NotDoublyDegenerate, NotSemiDegenerate
 from .model import DerivativeBundle, ModelParams, State, derivatives
-from .equilibria import DEGENERACY_RTOL, NORM_FLOOR, Equilibrium
+from .equilibria import COEFF_TOL, Equilibrium, Linearization, linearize
 
 __all__ = [
     "TaylorCoefficients",
@@ -36,9 +35,6 @@ __all__ = [
     "saddle_node_check",
     "cusp_check",
 ]
-
-COEFF_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class TaylorCoefficients:
@@ -109,11 +105,7 @@ class CuspCheck:
 def taylor_at(p: ModelParams, e: Equilibrium | State) -> TaylorCoefficients:
     """Taylor expansion of the vector field around an equilibrium (or any
     admissible point), coefficients scaled by the usual factorials."""
-    x = e.x
-    if not x > 0:
-        raise DomainViolation(f"prey density must be positive, got x = {x}")
-    d = derivatives(p, State(x, e.y))
-    return _taylor_from_bundle(d)
+    return _taylor_from_bundle(derivatives(p, State(e.x, e.y)))
 
 
 def _taylor_from_bundle(d: DerivativeBundle) -> TaylorCoefficients:
@@ -134,15 +126,6 @@ def _bilinear(d: DerivativeBundle, u: tuple[float, float], v: tuple[float, float
     return s1, s2
 
 
-def _degeneracy(d: DerivativeBundle) -> tuple[float, float, float, bool, bool]:
-    tr = d.f1_x + d.f2_y
-    det = d.f1_x * d.f2_y - d.f1_y * d.f2_x
-    norm = math.sqrt(d.f1_x**2 + d.f1_y**2 + d.f2_x**2 + d.f2_y**2)
-    det_zero = abs(det) <= DEGENERACY_RTOL * max(norm * norm, NORM_FLOOR)
-    tr_zero = abs(tr) <= DEGENERACY_RTOL * max(norm, NORM_FLOOR)
-    return tr, det, norm, det_zero, tr_zero
-
-
 def saddle_node_check(p: ModelParams, e: Equilibrium | State) -> SaddleNodeCheck:
     """Quadratic coefficient along the center direction at a semi-degenerate
     equilibrium (one zero and one nonzero eigenvalue).
@@ -153,10 +136,14 @@ def saddle_node_check(p: ModelParams, e: Equilibrium | State) -> SaddleNodeCheck
     after the basis change.  c20 != 0 certifies a saddle-node.
     """
     d = derivatives(p, State(e.x, e.y))
-    tr, det, _, det_zero, tr_zero = _degeneracy(d)
-    if not det_zero or tr_zero:
+    return _saddle_node_check(d, linearize(d))
+
+
+def _saddle_node_check(d: DerivativeBundle, lin: Linearization) -> SaddleNodeCheck:
+    tr = lin.tr
+    if not lin.det_zero or lin.tr_zero:
         raise NotSemiDegenerate(
-            f"need det ~ 0 and trace != 0, got det = {det:.3e}, trace = {tr:.3e}"
+            f"need det ~ 0 and trace != 0, got det = {lin.det:.3e}, trace = {tr:.3e}"
         )
     # df1/dy = -q x never vanishes, so both eigenvectors are graphs over x
     v0 = (1.0, -d.f1_x / d.f1_y)
@@ -183,10 +170,13 @@ def cusp_check(p: ModelParams, e: Equilibrium | State) -> CuspCheck:
     g11 = f11 + 2 e20.  Both nonzero certifies a codimension-2 cusp.
     """
     d = derivatives(p, State(e.x, e.y))
-    tr, det, _, det_zero, tr_zero = _degeneracy(d)
-    if not (det_zero and tr_zero):
+    return _cusp_check(d, linearize(d))
+
+
+def _cusp_check(d: DerivativeBundle, lin: Linearization) -> CuspCheck:
+    if not (lin.det_zero and lin.tr_zero):
         raise NotDoublyDegenerate(
-            f"need det ~ 0 and trace ~ 0, got det = {det:.3e}, trace = {tr:.3e}"
+            f"need det ~ 0 and trace ~ 0, got det = {lin.det:.3e}, trace = {lin.tr:.3e}"
         )
     j12 = d.f1_y  # nonzero, so J != 0 and the kernel basis below is valid
     q0 = (1.0, -d.f1_x / j12)

@@ -32,7 +32,6 @@ __all__ = [
     "sweep_parallelism",
 ]
 
-SURFACE_RTOL = 1e-9
 # critical surfaces; the first letter names the parameter that crosses them
 SURFACES = ("h1", "h2", "h3", "s1", "s2", "s3")
 
@@ -78,7 +77,7 @@ def _thresholds_dict(t: eq.Thresholds) -> dict:
 
 def _on_surface(actual, target):
     # elementwise on arrays too, where a NaN (absent) target is never hit
-    return abs(actual - target) <= SURFACE_RTOL * np.maximum(1.0, abs(target))
+    return abs(actual - target) <= eq.SURFACE_RTOL * np.maximum(1.0, abs(target))
 
 
 def _surface_flags(p: ModelParams, t: eq.Thresholds) -> list[str]:
@@ -219,14 +218,11 @@ def _sweep_row(spec: SweepSpec, value: float) -> dict:
     d = eq.discriminants(p)
     t = eq.thresholds(p)
     row["delta1"], row["delta2"] = d.delta1, d.delta2
-    for name in ("h1", "h2", "h3", "s1", "s2", "s3"):
+    flags = _surface_flags(p, t)
+    for name in SURFACES:
         val = getattr(t, name)
         row[name] = "" if val is None else val
-    for name in _surface_flags(p, t):
-        row[f"on_{name}"] = 1
-    for name in ("h1", "h2", "h3", "s1", "s2", "s3"):
-        if row[f"on_{name}"] == "":
-            row[f"on_{name}"] = 0
+        row[f"on_{name}"] = int(name in flags)
     return row
 
 

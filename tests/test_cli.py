@@ -129,6 +129,19 @@ class TestBT:
         etas = {tuple(r["eta"]) for r in reports}
         assert len(etas) == 9
 
+    @pytest.mark.parametrize("flag, named", [
+        (("--h", "0.2"), "h3"),
+        (("--s", "7"), "s1"),
+        # a NaN compares false with every band, so it is rejected as a value
+        (("--h", "nan"), "h must be finite"),
+        (("--s", "nan"), "s must be finite"),
+    ])
+    def test_off_cusp_base_exits_2(self, capsys, flag, named):
+        assert main(["bt", "--q", "1", "--m", "0.1", *flag]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and named in err
+
     def test_inadmissible_cusp_exits_2(self):
         res = run_cli("bt", "--q", "1", "--m", "0.3")
         assert res.returncode == 2

@@ -7,7 +7,8 @@ import pytest
 
 import allee_lab as al
 from allee_lab.equilibria import DISCRIMINANT_RTOL
-from allee_lab.errors import InconsistentInput
+from allee_lab.errors import HopfInadmissible, InconsistentInput
+from allee_lab.model import derivatives
 from helpers import random_params
 
 SC = al.StabilityClass
@@ -295,3 +296,57 @@ class TestFullPortrait:
         assert len(merged) == 1
         assert set(merged[0].labels) == {"E5", "E8"}
         assert merged[0].classification is SC.SADDLE_NODE
+
+
+class TestOneLinearisationPerEquilibrium:
+    @pytest.mark.parametrize("q, s, h, m, label, cls", [
+        (1, 1, 0.1, 0.2, "E8", SC.STABLE_FOCUS),     # generic: six equilibria
+        (1, 1, 0.25, 0.2, "E1", SC.SADDLE_NODE),     # prey-axis fold
+        (1, 1.6666666666666667, 0.125, 0.1, "E7", SC.CUSP),  # cusp base
+    ])
+    def test_one_derivatives_call_per_equilibrium(self, monkeypatch, q, s, h, m, label, cls):
+        # the classifier and the normal-form check it calls share one bundle
+        import allee_lab.equilibria as eq
+        import allee_lab.normal_forms as nf
+
+        calls = []
+
+        def counting_derivatives(*args):
+            calls.append(args)
+            return derivatives(*args)
+
+        for module in (eq, nf):
+            monkeypatch.setattr(module, "derivatives", counting_derivatives)
+        portrait = al.full_portrait(al.ModelParams(q=q, s=s, h=h, m=m))
+        assert {e.label: e.classification for e in portrait}[label] is cls
+        assert len(calls) == len(portrait)
+
+
+class TestOneDiagonalRoot:
+    """thresholds, hopf_critical_s and full_portrait read the same E8 and E9."""
+
+    @staticmethod
+    def pair_points(n: int = 400):
+        rng = np.random.default_rng(7)
+        for _ in range(n):
+            q = 10 ** rng.uniform(-2, 2)
+            h = rng.uniform(0.01, 0.99) / (4 * (q + 1))  # below h3: the pair exists
+            yield al.ModelParams(q=q, s=10 ** rng.uniform(-1, 1), h=h, m=rng.uniform(0.02, 0.98))
+
+    def test_trace_zero_growth_rates_sit_at_the_reported_pair(self):
+        moved = 0
+        for p in self.pair_points():
+            x = {e.label: e.x for e in al.full_portrait(p)}
+            t = al.thresholds(p)
+            # the root from the spelling C*C - 4*(h*C) of the discriminant
+            C = 1.0 / (p.q + 1.0)
+            moved += x["E8"] != 0.5 * (C + math.sqrt(C * C - 4.0 * (p.h * C)))
+            for name, label in (("s2", "E8"), ("s3", "E9")):
+                xd = x[label]
+                assert getattr(t, name) == (2.0 * xd + p.q * xd - 1.0) / (p.m - xd)
+            try:
+                assert al.hopf_critical_s(p, "E8") == t.s2
+            except HopfInadmissible:
+                pass
+        # the sample includes points where the two spellings give another x8
+        assert moved > 0

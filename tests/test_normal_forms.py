@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import allee_lab as al
-from allee_lab.errors import NotDoublyDegenerate, NotSemiDegenerate
+from allee_lab.errors import NotDoublyDegenerate, NotRepresentable, NotSemiDegenerate
 from allee_lab.normal_forms import CuspVerdict, SaddleNodeVerdict
 from helpers import random_params
 
@@ -143,3 +143,15 @@ class TestReductionAgainstSimulation:
             dist = math.hypot(traj.x[-1] - 0.5, traj.y[-1] - 0.0)
             outcomes.append(dist < 1e-3)
         assert sorted(outcomes) == [False, True]  # attracts on exactly one side
+
+
+@pytest.mark.parametrize("check", [
+    al.saddle_node_check,
+    al.cusp_check,
+    lambda p, u: al.sotomayor_saddle_node(p, u, "h"),
+], ids=["saddle_node_check", "cusp_check", "sotomayor_saddle_node"])
+def test_overflowing_linearisation_is_not_representable(check):
+    # f2_y = -2e299 squares past the double range: a typed error, not OverflowError
+    p = al.ModelParams(q=1, s=1e300, h=0.25, m=0.2)
+    with pytest.raises(NotRepresentable):
+        check(p, al.State(0.5, 0.0))
