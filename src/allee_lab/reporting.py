@@ -7,17 +7,17 @@ floats.
 """
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
 from . import equilibria as eq
 from .bifurcations import BTReport, HopfReport
 from .dynamics import Trajectory
-from .model import ModelParams, vector_field
+from .model import ModelParams, _field
 
 __all__ = [
     "SweepSpec",
@@ -47,8 +47,84 @@ SWEEP_COLUMNS = (
 
 
 def dumps_canonical(obj) -> str:
-    """Serialise to the canonical JSON form (stable order, full precision)."""
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    """Serialise to the canonical JSON form (stable order, full precision).
+
+    The text is byte-equal to the json module's `dumps(obj, indent=2,
+    allow_nan=False)` plus a final line break, but it is written directly
+    instead of through json's pure-Python indenting encoder.  Each float's
+    text is computed once per call; zeros are never memoised, because
+    0.0 == -0.0 would print one sign for both.  Keys must be str (json
+    would coerce int, float, bool and None keys); any other key, and any
+    value that is not a str, int, float, bool, None, list, tuple or dict,
+    raises TypeError.  NaN and infinities raise ValueError.
+    """
+    parts: list[str] = []
+    emit = parts.append
+    floats: dict[float, str] = {}
+    keys: dict[str, str] = {}
+
+    def float_text(x: float) -> str:
+        if not math.isfinite(x):
+            raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+        text = float.__repr__(x)  # np.float64's own repr is "np.float64(...)"
+        if x:
+            floats[x] = text
+        return text
+
+    def write(o, nl: str) -> None:
+        # nl: the line break and indent of the line `o` ends on
+        if isinstance(o, str):
+            emit(_encode_str(o))
+        elif o is None:
+            emit("null")
+        elif o is True:
+            emit("true")
+        elif o is False:
+            emit("false")
+        elif isinstance(o, int):
+            emit(int.__repr__(o))
+        elif isinstance(o, float):
+            emit(floats.get(o) or float_text(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                emit("[]")
+                return
+            inner = nl + "  "
+            sep, comma = "[" + inner, "," + inner
+            for v in o:
+                emit(sep)
+                sep = comma
+                if type(v) is float:  # most leaves of a report
+                    emit(floats.get(v) or float_text(v))
+                else:
+                    write(v, inner)
+            emit(nl + "]")
+        elif isinstance(o, dict):
+            if not o:
+                emit("{}")
+                return
+            inner = nl + "  "
+            sep, comma = "{" + inner, "," + inner
+            for k, v in o.items():
+                emit(sep)
+                sep = comma
+                text = keys.get(k)
+                if text is None:
+                    if not isinstance(k, str):
+                        raise TypeError(f"keys must be str, not {type(k).__name__}")
+                    text = keys[k] = _encode_str(k) + ": "
+                emit(text)
+                if type(v) is float:
+                    emit(floats.get(v) or float_text(v))
+                else:
+                    write(v, inner)
+            emit(nl + "}")
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    write(obj, "\n")
+    emit("\n")
+    return "".join(parts)
 
 
 def _num(x: float | None):
@@ -86,7 +162,6 @@ def _surface_flags(p: ModelParams, t: eq.Thresholds) -> list[str]:
 
 
 def _equilibrium_dict(p: ModelParams, e: eq.Equilibrium) -> dict:
-    f = vector_field(p, e.state)
     return {
         "label": e.label,
         "x": e.x,
@@ -96,7 +171,7 @@ def _equilibrium_dict(p: ModelParams, e: eq.Equilibrium) -> dict:
         "trace": e.trace,
         "det": e.det,
         "eigenvalues": [_complex_dict(z) for z in e.eigenvalues],
-        "residual": math.hypot(float(f[0]), float(f[1])),
+        "residual": math.hypot(*_field(p.q, p.s, p.h, p.m, e.x, e.y)),
     }
 
 
@@ -143,8 +218,8 @@ def bt_report_dict(p: ModelParams, rep: BTReport) -> dict:
 
 def trajectory_csv(traj: Trajectory) -> str:
     lines = ["t,x,y"]
-    for t, x, y in zip(traj.t, traj.x, traj.y):
-        lines.append(f"{float(t)!r},{float(x)!r},{float(y)!r}")
+    for t, x, y in zip(traj.t.tolist(), traj.x.tolist(), traj.y.tolist()):
+        lines.append(f"{t!r},{x!r},{y!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -378,6 +378,18 @@ class TestExitCodes:
         assert main(argv) == 3
         assert capsys.readouterr().err == "numerical failure: synthetic failure\n"
 
+    def test_non_finite_report_value_exits_2(self, monkeypatch, capsys):
+        import allee_lab.reporting as reporting_mod
+
+        monkeypatch.setattr(reporting_mod, "analysis_report",
+                            lambda p: {"params": {"q": p.q}, "residual": float("nan")})
+        code = main(["analyze", "--q", "1", "--s", "1", "--h", "0.2", "--m", "0.2"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        # the text json's indenting encoder gives on Python 3.11
+        assert err == "error: Out of range float values are not JSON compliant: nan\n"
+
 
 class TestSequentialCalls:
     def test_one_process_matches_fresh_runs(self, capsys, tmp_path):
