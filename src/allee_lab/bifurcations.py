@@ -43,7 +43,7 @@ from .errors import (
     SignAssumptionViolated,
 )
 from .model import ModelParams, State, derivatives
-from .normal_forms import TaylorCoefficients, taylor_at
+from .normal_forms import TaylorCoefficients, _bilinear, taylor_at
 
 __all__ = [
     "SotomayorVerdict",
@@ -114,8 +114,7 @@ def sotomayor_saddle_node(p: ModelParams, e: Equilibrium | State, bif_param: str
     w = (-2.0 * d.f2_y, 2.0 * d.f1_y)
 
     fmu = _param_derivative(p, State(e.x, e.y), bif_param)
-    quad1 = d.f1_xx * v[0] * v[0] + 2.0 * d.f1_xy * v[0] * v[1] + d.f1_yy * v[1] * v[1]
-    quad2 = d.f2_xx * v[0] * v[0] + 2.0 * d.f2_xy * v[0] * v[1] + d.f2_yy * v[1] * v[1]
+    quad1, quad2 = _bilinear(d, v, v)
     t1 = w[0] * fmu[0] + w[1] * fmu[1]
     t2 = w[0] * quad1 + w[1] * quad2
     verdict = (

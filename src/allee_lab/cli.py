@@ -230,7 +230,8 @@ def main(argv: list[str] | None = None) -> int:
         # LinAlgError subclasses ValueError, so this branch must come first
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-    except (AlleeLabError, ValueError) as err:
+    except (AlleeLabError, ValueError, OSError) as err:
+        # OSError: a --config or --out path that cannot be read or written
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -39,7 +39,10 @@ __all__ = [
     "classify_by_simulation",
 ]
 
-DIVERGENCE_BOUND = 1e6
+DIVERGENCE_BOUND = 1e6  # |u| at which a run counts as diverged
+X_FLOOR = 1e-8  # prey density at which every run stops (the domain floor)
+CAPTURE_FRACTION = 0.8  # cycle hunts stay within this share of the center's x
+PROBE_RADIUS = 1e-4  # distance of classify_by_simulation's probes from the point
 
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Sec. II.5) with Shampine's
@@ -150,7 +153,7 @@ def _brentq(f, xpre, xcur, xtol=4 * _EPS, rtol=4 * _EPS, maxiter=100) -> float:
     raise RuntimeError(f"brentq failed to converge after {maxiter} iterations")
 
 
-def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, events=None,
+def solve_ivp(fun, t_span, y0, *, t_eval=None, events=None,
               rtol=1e-3, atol=1e-6, max_step=math.inf) -> SimpleNamespace:
     """Integrate `fun(t, (x, y)) -> (dx/dt, dy/dt)` by the RK45 contract.
 
@@ -161,11 +164,11 @@ def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, events=None,
     or overflows rejects the step, as an inf or nan error norm does, so a
     blow-up ends in a step-size underflow.  Returns `t`, `y` (2 x n),
     `t_events`, `y_events`, `status` (0 end of span, 1 terminal event, -1
-    step-size underflow) and `nfev` (2 + 6 per attempted step).  Call sites
-    look this name up at call time, so a caller can swap in a wrapper.
+    step-size underflow) and `nfev` (2 + 6 per attempted step).  The
+    keywords are scipy's for its default RK45, which has no `method` here.
+    Call sites look this name up at call time, so a caller can swap in a
+    wrapper.
     """
-    if method != "RK45":
-        raise ValueError(f"only method='RK45' is implemented, got {method!r}")
     t0, tf = float(t_span[0]), float(t_span[1])
     x, y = float(y0[0]), float(y0[1])
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -283,12 +286,13 @@ class IntegratorConfig:
     abs_tol: float = 1e-10
     max_step: float = math.inf
     t_max: float = 200.0
-    x_floor: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "max_step", "t_max", "x_floor"):
+        for name in ("rel_tol", "abs_tol", "max_step", "t_max"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if self.t_max == math.inf:
+            raise ValueError("t_max must be finite")
 
 
 class TerminalReason(enum.Enum):
@@ -310,38 +314,44 @@ class Trajectory:
         """(n, 3) array of rows (t, x, y)."""
         return np.column_stack([self.t, self.x, self.y])
 
-    @property
-    def final_state(self) -> State:
-        return State(float(self.x[-1]), float(self.y[-1]))
-
 
 def _rhs(p: ModelParams, reverse: bool = False):
     q, s, h, m = p.q, p.s, p.h, p.m
-    sign = -1.0 if reverse else 1.0
+    if not reverse:
+        return lambda t, u: _field(q, s, h, m, u[0], u[1])
 
     def rhs(t, u):
         f1, f2 = _field(q, s, h, m, u[0], u[1])
-        return (sign * f1, sign * f2)
+        return (-f1, -f2)
 
     return rhs
 
 
-def _floor_event(cfg: IntegratorConfig):
-    def ev(t, u):
-        return u[0] - cfg.x_floor
+def _event(g, direction: float, terminal: bool = True):
+    """Mark `g(t, u)` as a solver event: its zeros count when g rises
+    (direction +1), falls (-1) or either (0); a terminal one ends the run."""
+    g.direction = direction
+    g.terminal = terminal
+    return g
 
-    ev.terminal = True
-    ev.direction = -1.0
-    return ev
+
+def _floor_event(x_floor: float = X_FLOOR):
+    return _event(lambda t, u: u[0] - x_floor, -1.0)
+
+
+def _ball_event(center: State, radius: float, direction: float):
+    """|u - center|^2 - radius^2: direction +1 leaves the ball, -1 enters it."""
+    cx, cy, r2 = center.x, center.y, radius * radius
+
+    def ev(t, u):
+        dx, dy = u[0] - cx, u[1] - cy
+        return dx * dx + dy * dy - r2
+
+    return _event(ev, direction)
 
 
 def _divergence_event():
-    def ev(t, u):
-        return u[0] * u[0] + u[1] * u[1] - DIVERGENCE_BOUND * DIVERGENCE_BOUND
-
-    ev.terminal = True
-    ev.direction = 1.0
-    return ev
+    return _ball_event(State(0.0, 0.0), DIVERGENCE_BOUND, 1.0)
 
 
 def integrate(p: ModelParams, u0: State, cfg: IntegratorConfig | None = None) -> Trajectory:
@@ -350,23 +360,15 @@ def integrate(p: ModelParams, u0: State, cfg: IntegratorConfig | None = None) ->
     The terminal tag distinguishes four outcomes: the horizon was reached
     while still moving, the orbit settled onto a point (speed and recent
     displacement both negligible), the prey density hit the configured
-    floor, or the solution blew up / the stepper failed.
+    floor `X_FLOOR`, or the solution blew up / the stepper failed.
     """
     cfg = cfg or IntegratorConfig()
-    if not (u0.x > cfg.x_floor and math.isfinite(u0.x) and math.isfinite(u0.y)):
+    if not (u0.x > X_FLOOR and math.isfinite(u0.x) and math.isfinite(u0.y)):
         raise ValueError(f"initial state ({u0.x}, {u0.y}) not admissible (x must exceed the floor)")
     if u0.y < 0:
         raise DomainViolation(f"predator density must be non-negative, got y = {u0.y}")
-    sol = solve_ivp(
-        _rhs(p),
-        (0.0, cfg.t_max),
-        (u0.x, u0.y),
-        method="RK45",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        events=[_floor_event(cfg), _divergence_event()],
-    )
+    sol = solve_ivp(_rhs(p), (0.0, cfg.t_max), (u0.x, u0.y), rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                    max_step=cfg.max_step, events=[_floor_event(), _divergence_event()])
     t, xs, ys = sol.t, sol.y[0], sol.y[1]
     if sol.status == 1:
         terminal = (
@@ -403,8 +405,7 @@ class CycleDetection:
 
 
 def _section_crossings(p: ModelParams, center: State, start: State, cfg: IntegratorConfig,
-                       reverse: bool, capture_radius: float | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
+                       reverse: bool) -> tuple[np.ndarray, np.ndarray]:
     """Times and x-locations of oriented crossings of {y = yc, x > xc}.
 
     The crossing orientation is fixed to "upward for the forward flow";
@@ -415,21 +416,9 @@ def _section_crossings(p: ModelParams, center: State, start: State, cfg: Integra
     """
     rhs = _rhs(p, reverse)
     probe = rhs(0.0, (center.x + 1e-3, center.y))
-    direction = 1.0 if probe[1] > 0 else -1.0
-
-    def section(t, u):
-        return u[1] - center.y
-
-    section.direction = direction
-
-    escape_r = capture_radius if capture_radius is not None else 0.8 * center.x
-
-    def escape(t, u):
-        dx, dy = u[0] - center.x, u[1] - center.y
-        return dx * dx + dy * dy - escape_r * escape_r
-
-    escape.terminal = True
-    escape.direction = 1.0
+    yc = center.y
+    section = _event(lambda t, u: u[1] - yc, 1.0 if probe[1] > 0 else -1.0, terminal=False)
+    events = [section, _floor_event(), _ball_event(center, CAPTURE_FRACTION * center.x, 1.0)]
 
     times: list[float] = []
     locs: list[float] = []
@@ -441,11 +430,10 @@ def _section_crossings(p: ModelParams, center: State, start: State, cfg: Integra
             rhs,
             (t0, min(t0 + window, cfg.t_max)),
             u,
-            method="RK45",
             rtol=cfg.rel_tol,
             atol=cfg.abs_tol,
             max_step=cfg.max_step,
-            events=[section, _floor_event(cfg), escape],
+            events=events,
         )
         te, ue = sol.t_events[0], sol.y_events[0]
         for t, state in zip(te, ue):
@@ -512,7 +500,6 @@ def _one_period(p: ModelParams, center: State, x_start: float, period: float,
         _rhs(p, reverse),
         (0.0, period),
         (x_start, center.y),
-        method="RK45",
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,
         t_eval=tt,
@@ -521,8 +508,7 @@ def _one_period(p: ModelParams, center: State, x_start: float, period: float,
 
 
 def detect_cycle(p: ModelParams, center: State, cfg: IntegratorConfig | None = None,
-                 start_radius: float = 1e-2,
-                 capture_radius: float | None = None) -> CycleDetection:
+                 start_radius: float = 1e-2) -> CycleDetection:
     """Look for a limit cycle around a focus-type equilibrium.
 
     Strategy: record returns to the horizontal section through the center
@@ -533,8 +519,10 @@ def detect_cycle(p: ModelParams, center: State, cfg: IntegratorConfig | None = N
     forward flow.  Period comes from the final pair of crossing times,
     amplitude is the maximum distance from the center over one period.
 
-    The hunt stays local: orbits leaving `capture_radius` (default: 80% of
-    the center's distance to the singular axis) abandon the search.
+    The hunt starts `start_radius` to the right of the center and stays
+    local: an orbit that leaves the ball of radius `CAPTURE_FRACTION` times
+    the center's distance to the singular axis x = 0, or reaches the
+    domain floor, ends its half of the search.
     """
     cfg = cfg or IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_max=6000.0, max_step=1.0)
     start = State(center.x + start_radius, center.y)
@@ -544,7 +532,7 @@ def detect_cycle(p: ModelParams, center: State, cfg: IntegratorConfig | None = N
     forward_crossings: list[float] = []
     for reverse, stability in ((False, CycleStability.ATTRACTING),
                                (True, CycleStability.REPELLING)):
-        te, xe = _section_crossings(p, center, start, cfg, reverse, capture_radius)
+        te, xe = _section_crossings(p, center, start, cfg, reverse)
         any_crossings = any_crossings or len(te) > 0
         found, radius = _analyze_returns(xe - center.x, cfg.abs_tol)
         if found:
@@ -594,57 +582,33 @@ def _fd_jacobian(p: ModelParams, x: float, y: float, step: float = 1e-6) -> np.n
     ])
 
 
-def _probe(p: ModelParams, center: State, u0: tuple[float, float], radius: float,
-           t_max: float, max_step: float, x_floor: float, reverse: bool) -> tuple[str, float]:
+def _probe(p: ModelParams, center: State, u0: tuple[float, float], events: list,
+           t_max: float, max_step: float, reverse: bool) -> tuple[str, float]:
     """Integrate one probe; returns (outcome, |winding angle|).
 
-    Outcome is 'A' if the probe fell inside radius/100 of the center,
-    'E' if it left the 100*radius ball (or the domain), 'U' otherwise.
+    `events` are the inner ball, the outer ball and the floor.  Outcome is
+    'A' if the probe fell into the inner ball, 'E' if it left the outer
+    one (or the domain), 'U' otherwise.
     """
-    in_r, out_r = radius * 1e-2, radius * 1e2
-
-    def ev_in(t, u):
-        dx, dy = u[0] - center.x, u[1] - center.y
-        return dx * dx + dy * dy - in_r * in_r
-
-    ev_in.terminal = True
-    ev_in.direction = -1.0
-
-    def ev_out(t, u):
-        dx, dy = u[0] - center.x, u[1] - center.y
-        return dx * dx + dy * dy - out_r * out_r
-
-    ev_out.terminal = True
-    ev_out.direction = 1.0
-
-    def ev_floor(t, u):
-        return u[0] - x_floor
-
-    ev_floor.terminal = True
-    ev_floor.direction = -1.0
-
     sol = solve_ivp(
-        _rhs(p, reverse), (0.0, t_max), u0, method="RK45",
-        rtol=1e-9, atol=1e-13, max_step=max_step,
-        events=[ev_in, ev_out, ev_floor],
+        _rhs(p, reverse), (0.0, t_max), u0,
+        rtol=1e-9, atol=1e-13, max_step=max_step, events=events,
     )
     dx, dy = sol.y[0] - center.x, sol.y[1] - center.y
     ang = np.unwrap(np.arctan2(dy, dx))
     winding = float(abs(ang[-1] - ang[0])) if len(ang) > 1 else 0.0
-    if sol.status == 1:
-        if len(sol.t_events[0]):
-            return "A", winding
-        return "E", winding
-    if sol.status < 0:
-        return "E", winding
-    return "U", winding
+    if sol.status == 0:
+        return "U", winding
+    return ("A" if sol.status == 1 and len(sol.t_events[0]) else "E"), winding
 
 
-def classify_by_simulation(p: ModelParams, e, radius: float = 1e-4) -> SimVerdict:
+def classify_by_simulation(p: ModelParams, e) -> SimVerdict:
     """Infer the local type of an equilibrium from trajectories.
 
-    Eight probes at the given radius are integrated forward and (all over
-    again) in reversed time.  Attraction patterns decide stability:
+    Eight probes at distance `PROBE_RADIUS` are integrated forward and (all
+    over again) in reversed time, each until it comes within PROBE_RADIUS/100
+    of the point or gets 100*PROBE_RADIUS away.  Attraction patterns decide
+    stability:
 
         forward all-in,  reversed all-out  ->  stable node/focus
         forward all-out, reversed all-in   ->  unstable node/focus
@@ -667,7 +631,9 @@ def classify_by_simulation(p: ModelParams, e, radius: float = 1e-4) -> SimVerdic
     t_max = min(3000.0, max(50.0, 30.0 / min_rate))
     rot = float(np.abs(lam.imag).max())
     max_step = 0.7 / max(rot, 1.0 / t_max)
-    x_floor = min(1e-8, 0.5 * xc)
+    x_floor = min(X_FLOOR, 0.5 * xc)
+    events = [_ball_event(center, PROBE_RADIUS * 1e-2, -1.0),
+              _ball_event(center, PROBE_RADIUS * 1e2, 1.0), _floor_event(x_floor)]
 
     outcomes: dict[bool, list[str]] = {False: [], True: []}
     windings: dict[bool, list[float]] = {False: [], True: []}
@@ -676,10 +642,10 @@ def classify_by_simulation(p: ModelParams, e, radius: float = 1e-4) -> SimVerdic
             # small offset keeps probes off the axis-aligned eigendirections
             # of the boundary/Allee-line saddles
             ang = 2.0 * math.pi * k / 8.0 + math.pi / 16.0
-            u0 = (xc + radius * math.cos(ang), yc + radius * math.sin(ang))
+            u0 = (xc + PROBE_RADIUS * math.cos(ang), yc + PROBE_RADIUS * math.sin(ang))
             if u0[0] <= x_floor or u0[1] < 0.0:
                 continue  # probe would start outside the admissible domain
-            out, wind = _probe(p, center, u0, radius, t_max, max_step, x_floor, reverse)
+            out, wind = _probe(p, center, u0, events, t_max, max_step, reverse)
             outcomes[reverse].append(out)
             windings[reverse].append(wind)
 

@@ -1,0 +1,33 @@
+"""The benchmark in perfbench/ reaches into the package by name: the traced
+run wraps every (module, function) in `tracing.TRACED`, and the worker
+records `reporting.sweep_parallelism()`.  A rename or deletion in
+`allee_lab` breaks those runs without failing any other test."""
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _tracing_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_resolves():
+    tracing = _tracing_module()
+    assert tracing.TRACED
+    missing = [f"{mod}.{attr}" for mod, attr in tracing.TRACED
+               if not callable(getattr(importlib.import_module(f"{tracing.PACKAGE}.{mod}"),
+                                       attr, None))]
+    assert missing == []
+
+
+def test_worker_hook_exists():
+    from allee_lab import reporting
+
+    assert callable(reporting.sweep_parallelism)

@@ -52,6 +52,19 @@ class TestSotomayor:
         above = al.solve_branch_allee_line(al.ModelParams(q=1, s=1, h=0.161, m=0.2))
         assert (len(below), len(above)) == (2, 0)
 
+    @pytest.mark.parametrize("params, point, bif_param, t1, t2", [
+        ((1, 1, 0.16, 0.2), (0.4, 0.2), "h", "0.19999999999999998", "0.39999999999999997"),
+        ((1, 1, 0.125, 0.2), (0.25, 0.25), "h", "-0.09999999999999998", "-0.3999999999999997"),
+        ((2, 0.7, 1 / 12, 0.1), (1 / 6, 1 / 6), "q", "-0.002592592592592593",
+         "-0.5599999999999995"),
+    ])
+    def test_transversality_values_pinned(self, params, point, bif_param, t1, t2):
+        # the Allee-line fold, the diagonal fold h3 and a q-fold on the
+        # diagonal; D^2f(v, v) comes from normal_forms._bilinear, whose
+        # grouping of the mixed term is exact here because v[0] = 1
+        rep = al.sotomayor_saddle_node(al.ModelParams(*params), al.State(*point), bif_param)
+        assert (repr(rep.transversality1), repr(rep.transversality2)) == (t1, t2)
+
     def test_rejects_hyperbolic_point(self):
         p = al.ModelParams(q=1, s=1, h=0.21, m=0.2)
         with pytest.raises(NoZeroEigenvalue):

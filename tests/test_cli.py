@@ -213,6 +213,14 @@ class TestSimulate:
                       f"--x0={x0}", f"--y0={y0}")
         assert (res.returncode, res.stdout, res.stderr) == (0, stdout, "")
 
+    def test_infinite_horizon_exits_2(self):
+        # the stepper never reaches an infinite horizon; the timeout turns a
+        # hang into a failure instead of stalling the suite
+        cmd = [sys.executable, "-m", "allee_lab", "simulate", "--q=1", "--s=1", "--h=0.21",
+               "--m=0.2", "--x0=0.71", "--y0=0.01", "--tmax=inf"]
+        res = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+        assert (res.returncode, res.stdout, res.stderr) == (2, "", "error: t_max must be finite\n")
+
     def test_log_uniform_starts_exit_0_or_2(self, capsys):
         rng = np.random.default_rng(3141)
         for x0, y0 in 10.0 ** rng.uniform(-7.0, 300.0, size=(60, 2)):
@@ -350,6 +358,16 @@ class TestConfigFile:
         cfg.write_text("q 1\n")
         res = run_cli("analyze", "--config", str(cfg), "--s", "1", "--h", "0.2", "--m", "0.2")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("flag, path", [
+        ("--config", "missing.cfg"), ("--config", "."), ("--out", "no/such/dir/x.json"),
+    ])
+    def test_unusable_path_exits_2_with_one_error_line(self, tmp_path, flag, path):
+        res = run_cli("analyze", "--q", "1", "--s", "1", "--h", "0.1", "--m", "0.2",
+                      flag, str(tmp_path / path))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
 
 
 class TestExitCodes:

@@ -59,6 +59,11 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             al.integrate(p, al.State(0.0, 0.1))
 
+    def test_infinite_horizon_rejected(self):
+        # integrate and detect_cycle's window loop would never reach it
+        with pytest.raises(ValueError, match="t_max must be finite"):
+            al.IntegratorConfig(t_max=math.inf)
+
     def test_negative_predator_start_rejected(self):
         p = al.ModelParams(q=1, s=1, h=0.1, m=0.2)
         with pytest.raises(DomainViolation, match="got y = -0.001"):
@@ -92,7 +97,7 @@ class TestIntegratorAccuracy:
         exact = expm(J) @ z0
         errors = []
         for tol in (1e-6, 1e-8, 1e-10):
-            sol = dynamics.solve_ivp(lambda t, z: J @ z, (0.0, 1.0), z0, method="RK45",
+            sol = dynamics.solve_ivp(lambda t, z: J @ z, (0.0, 1.0), z0,
                                      rtol=tol, atol=tol * 1e-2)
             errors.append(float(np.hypot(*(sol.y[:, -1] - exact))))
         assert errors[0] > errors[1] > errors[2]
@@ -117,16 +122,14 @@ def _reference_runs():
             return u[1] - c
 
         section.direction = float((k >> 3) % 3 - 1)
-        cfg = al.IntegratorConfig(rel_tol=rtol, abs_tol=atol, max_step=max_step)
-        events = [dynamics._floor_event(cfg), dynamics._divergence_event(), section]
+        events = [dynamics._floor_event(), dynamics._divergence_event(), section]
         span = (0.0, -60.0) if backward else (0.0, 60.0)
-        kwargs = dict(method="RK45", rtol=rtol, atol=atol, max_step=max_step, events=events)
+        kwargs = dict(rtol=rtol, atol=atol, max_step=max_step, events=events)
         yield dynamics._rhs(p, reverse), span, u0, kwargs
     # starts whose stages overflow: every step is rejected until it underflows
     p = al.ModelParams(q=1, s=1, h=0.1, m=0.2)
-    cfg = al.IntegratorConfig()
     for u0 in ((1e-7, 1e300), (1e300, 1e300), (0.5, 1e154)):
-        events = [dynamics._floor_event(cfg), dynamics._divergence_event()]
+        events = [dynamics._floor_event(), dynamics._divergence_event()]
         yield dynamics._rhs(p), (0.0, 20.0), u0, dict(rtol=1e-8, atol=1e-10, events=events)
 
 
@@ -157,7 +160,7 @@ class TestSolverAgainstScipy:
         p = al.ModelParams(q=1, s=0.52, h=0.12, m=0.1)
         tt = np.linspace(0.0, 45.3, 2000)
         for reverse in (False, True):
-            kwargs = dict(method="RK45", rtol=1e-10, atol=1e-12, t_eval=tt)
+            kwargs = dict(rtol=1e-10, atol=1e-12, t_eval=tt)
             ref = scipy_solve_ivp(dynamics._rhs(p, reverse), (0.0, 45.3), (0.33, 0.3), **kwargs)
             got = dynamics.solve_ivp(dynamics._rhs(p, reverse), (0.0, 45.3), (0.33, 0.3), **kwargs)
             assert got.status == ref.status == 0 and got.nfev == ref.nfev
