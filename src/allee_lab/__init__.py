@@ -4,7 +4,7 @@ from .model import (
     DimensionalParams,
     ModelParams,
     State,
-    DerivativeBundle,
+    TaylorCoefficients,
     nondimensionalize,
     vector_field,
     derivatives,
@@ -24,7 +24,6 @@ from .equilibria import (
     full_portrait,
 )
 from .normal_forms import (
-    TaylorCoefficients,
     SaddleNodeCheck,
     SaddleNodeVerdict,
     CuspCheck,
@@ -63,12 +62,12 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "DimensionalParams", "ModelParams", "State", "DerivativeBundle",
+    "DimensionalParams", "ModelParams", "State", "TaylorCoefficients",
     "nondimensionalize", "vector_field", "derivatives",
     "Branch", "BranchDiscriminants", "Equilibrium", "StabilityClass", "Thresholds",
     "discriminants", "solve_branch_prey_axis", "solve_branch_allee_line",
     "solve_branch_diagonal", "classify", "thresholds", "full_portrait",
-    "TaylorCoefficients", "SaddleNodeCheck", "SaddleNodeVerdict",
+    "SaddleNodeCheck", "SaddleNodeVerdict",
     "CuspCheck", "CuspVerdict", "taylor_at", "saddle_node_check", "cusp_check",
     "SotomayorReport", "SotomayorVerdict", "HopfReport", "HopfDirection",
     "BTReport", "BTVerdict", "sotomayor_saddle_node", "hopf_critical_s",

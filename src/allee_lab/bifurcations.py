@@ -42,8 +42,8 @@ from .errors import (
     NotSemiDegenerate,
     SignAssumptionViolated,
 )
-from .model import ModelParams, State, derivatives
-from .normal_forms import TaylorCoefficients, _bilinear, taylor_at
+from .model import ModelParams, State, TaylorCoefficients, derivatives
+from .normal_forms import _bilinear, taylor_at
 
 __all__ = [
     "SotomayorVerdict",
@@ -101,20 +101,20 @@ def sotomayor_saddle_node(p: ModelParams, e: Equilibrium | State, bif_param: str
     first component 1 and w so that w.v = -2*trace, which makes the values
     reproducible across runs and machines.
     """
-    d = derivatives(p, State(e.x, e.y))
-    lin = linearize(d)
+    t = derivatives(p, State(e.x, e.y))
+    lin = linearize(t)
     if not lin.det_zero:
         raise NoZeroEigenvalue(f"det(J) = {lin.det:.3e} is not ~ 0")
     if lin.tr_zero:
         raise NotSemiDegenerate("zero eigenvalue is not simple (trace ~ 0)")
 
-    v = (1.0, -d.f1_x / d.f1_y)
+    v = (1.0, -t.a10 / t.a01)
     # (J22, -J12) spans the left kernel and dots with v to exactly the trace,
     # so this is the left null vector scaled to w.v = -2*trace
-    w = (-2.0 * d.f2_y, 2.0 * d.f1_y)
+    w = (-2.0 * t.b01, 2.0 * t.a01)
 
     fmu = _param_derivative(p, State(e.x, e.y), bif_param)
-    quad1, quad2 = _bilinear(d, v, v)
+    quad1, quad2 = _bilinear(t, v, v)
     t1 = w[0] * fmu[0] + w[1] * fmu[1]
     t2 = w[0] * quad1 + w[1] * quad2
     verdict = (
@@ -317,7 +317,7 @@ def _ladder(p_base: ModelParams, h3: float, s1: float, eta: tuple[float, float])
     x7 = 2.0 * h3
     p = ModelParams(q=q, s=s1 + eta[1], h=h3 + eta[0], m=m)
     t = taylor_at(p, State(x7, x7))
-    a = {"00": t.a00, "10": t.a10, "01": t.a01, "20": t.a20, "11": t.a11, "02": 0.0}
+    a = {"00": t.a00, "10": t.a10, "01": t.a01, "20": t.a20, "11": t.a11, "02": t.a02}
     b = {"00": t.b00, "10": t.b10, "01": t.b01, "20": t.b20, "11": t.b11, "02": t.b02}
 
     # straighten the linear part: u2 = u1, v2 = a10*u1 + a01*v1

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InconsistentInput, NotRepresentable
-from .model import DerivativeBundle, ModelParams, State, _field, _jacobian, derivatives
+from .model import ModelParams, State, TaylorCoefficients, _field, _jacobian, derivatives
 
 __all__ = [
     "Branch",
@@ -197,13 +197,13 @@ class Linearization(NamedTuple):
     real: bool  # disc > 0 or inside its band: a node, not a focus
 
 
-def linearize(d: DerivativeBundle) -> Linearization:
+def linearize(t: TaylorCoefficients) -> Linearization:
     """The linearisation that classification and every degeneracy check read.
 
     Raises NotRepresentable when the squared norm is not finite: an entry
     overflows or is NaN, and no band means anything then.
     """
-    a, b, c, e = d.f1_x, d.f1_y, d.f2_x, d.f2_y
+    a, b, c, e = t.a10, t.a01, t.b10, t.b01
     norm = math.sqrt(a * a + b * b + c * c + e * e)
     if not math.isfinite(norm * norm):
         raise NotRepresentable(
@@ -218,9 +218,9 @@ def linearize(d: DerivativeBundle) -> Linearization:
                          real=abs(disc) <= band or disc > 0)
 
 
-def _linearize_at(d: DerivativeBundle, label: str, u: State) -> Linearization:
+def _linearize_at(t: TaylorCoefficients, label: str, u: State) -> Linearization:
     try:
-        return linearize(d)
+        return linearize(t)
     except NotRepresentable as err:
         raise NotRepresentable(f"equilibrium {label} at ({u.x}, {u.y}): its {err}") from None
 
@@ -355,21 +355,21 @@ def classify(p: ModelParams, e: Equilibrium) -> StabilityClass:
 
 
 def _classify(p: ModelParams, u: State, label: str,
-              d: DerivativeBundle) -> tuple[Linearization, StabilityClass]:
+              t: TaylorCoefficients) -> tuple[Linearization, StabilityClass]:
     from . import normal_forms  # local import: normal_forms depends on this module
 
-    res = math.hypot(d.f1, d.f2)
+    res = math.hypot(t.a00, t.b00)
     if res > RESIDUAL_TOL:
         raise InconsistentInput(
             f"point ({u.x}, {u.y}) is not an equilibrium: residual {res:.3e}"
         )
-    lin = _linearize_at(d, label, u)
+    lin = _linearize_at(t, label, u)
     if lin.det_zero and lin.tr_zero:
-        verdict = normal_forms._cusp_check(d, lin).verdict
+        verdict = normal_forms._cusp_check(t, lin).verdict
         codim2 = verdict is normal_forms.CuspVerdict.CODIM2_CUSP
         result = StabilityClass.CUSP if codim2 else StabilityClass.DEGENERATE
     elif lin.det_zero:
-        verdict = normal_forms._saddle_node_check(d, lin).verdict
+        verdict = normal_forms._saddle_node_check(t, lin).verdict
         fold = verdict is normal_forms.SaddleNodeVerdict.SADDLE_NODE
         result = StabilityClass.SADDLE_NODE if fold else StabilityClass.DEGENERATE
     elif lin.det < 0:
@@ -381,7 +381,7 @@ def _classify(p: ModelParams, u: State, label: str,
     else:
         result = StabilityClass.STABLE_FOCUS if lin.tr < 0 else StabilityClass.UNSTABLE_FOCUS
 
-    _check_against_eigenvalues(d.jacobian, lin.norm, result)
+    _check_against_eigenvalues(t.jacobian, lin.norm, result)
     return lin, result
 
 
@@ -524,15 +524,15 @@ def portrait_batch(q, s, h, m) -> PortraitBatch:
         undecided |= (gap <= BATCH_MARGIN * MERGE_DISTANCE).any(axis=1)
 
         # the field and the linearisation in the operation order of the scalar path
-        f1, f2 = _field(q, s, h, m, x, y)
-        f1_x, f1_y, f2_x, f2_y = _jacobian(q, s, m, x, y)
-        norm = np.sqrt(f1_x * f1_x + f1_y * f1_y + f2_x * f2_x + f2_y * f2_y)
-        tr = f1_x + f2_y
-        det = f1_x * f2_y - f1_y * f2_x
+        a00, b00 = _field(q, s, h, m, x, y)
+        a10, a01, b10, b01 = _jacobian(q, s, m, x, y)
+        norm = np.sqrt(a10 * a10 + a01 * a01 + b10 * b10 + b01 * b01)
+        tr = a10 + b01
+        det = a10 * b01 - a01 * b10
         disc = tr * tr - 4.0 * det
         saddle, stable = det < 0, tr < 0
         band = BATCH_MARGIN * DEGENERACY_RTOL
-        residual = np.hypot(f1, f2)
+        residual = np.hypot(a00, b00)
         near = ~(np.isfinite(residual + norm + disc) & (x > 0))
         near |= residual > RESIDUAL_TOL / BATCH_MARGIN
         near |= np.abs(det) <= band * np.maximum(norm * norm, NORM_FLOOR)
@@ -543,7 +543,7 @@ def portrait_batch(q, s, h, m) -> PortraitBatch:
 
         # the independent eigenvalue route, one stacked call, tightened band
         check = present & ~undecided[:, None]
-        J = np.stack([f1_x[check], f1_y[check], f2_x[check], f2_y[check]], axis=1)
+        J = np.stack([a10[check], a01[check], b10[check], b01[check]], axis=1)
         lam = np.linalg.eigvals(J.reshape(-1, 2, 2))
         re = np.sort(lam.real, axis=1)
         tol = EIGEN_SIGN_RTOL / BATCH_MARGIN * np.maximum(norm[check], NORM_FLOOR)

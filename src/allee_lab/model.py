@@ -15,9 +15,11 @@ The prey equation is a quadratic polynomial in (x, y); every partial of it
 of order >= 3 vanishes identically.  The predator equation is rational in x
 and singular at x = 0, so all operations reject states with x <= 0.
 
-All functions here are pure: derivatives are hand-derived closed forms
-(cross-checked against finite differences in the test suite), never
-finite-difference approximations.
+All functions here are pure.  `derivatives` returns the local expansion
+as one record, the Taylor coefficients up to third order written in closed
+form (cross-checked against finite differences in the test suite, never
+approximated by them); linearisation, classification and the normal forms
+all read that record.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ __all__ = [
     "DimensionalParams",
     "ModelParams",
     "State",
-    "DerivativeBundle",
+    "TaylorCoefficients",
     "nondimensionalize",
     "vector_field",
     "derivatives",
@@ -102,39 +104,48 @@ class State:
 
 
 @dataclass(frozen=True)
-class DerivativeBundle:
-    """Vector field plus all partials needed by the normal-form machinery.
+class TaylorCoefficients:
+    """Taylor coefficients (i + j <= 3) of both components around a point.
 
-    Holds the field value, the Jacobian, all second-order partials, and the
-    third-order partials of the predator component only: the prey component
-    is quadratic, so its third-order partials are identically zero and are
-    not stored.
+    a_ij multiplies dx^i dy^j in the prey component, b_ij in the predator
+    component, so a_ij = (d^(i+j) f1 / dx^i dy^j) / (i! j!).  The prey
+    component is quadratic: a02 and every a_ij with i + j = 3 are zero.
     """
 
-    f1: float
-    f2: float
-    f1_x: float
-    f1_y: float
-    f2_x: float
-    f2_y: float
-    f1_xx: float
-    f1_xy: float
-    f1_yy: float
-    f2_xx: float
-    f2_xy: float
-    f2_yy: float
-    f2_xxx: float
-    f2_xxy: float
-    f2_xyy: float
-    f2_yyy: float
-
-    @property
-    def f(self) -> np.ndarray:
-        return np.array([self.f1, self.f2])
+    a00: float
+    a10: float
+    a01: float
+    a20: float
+    a11: float
+    a02: float
+    a30: float
+    a21: float
+    a12: float
+    a03: float
+    b00: float
+    b10: float
+    b01: float
+    b20: float
+    b11: float
+    b02: float
+    b30: float
+    b21: float
+    b12: float
+    b03: float
 
     @property
     def jacobian(self) -> np.ndarray:
-        return np.array([[self.f1_x, self.f1_y], [self.f2_x, self.f2_y]])
+        return np.array([[self.a10, self.a01], [self.b10, self.b01]])
+
+    def evaluate(self, du: float, dv: float) -> tuple[float, float]:
+        """Sum the expansion at displacement (du, dv) from the base point."""
+        f1 = (self.a00 + self.a10 * du + self.a01 * dv
+              + self.a20 * du * du + self.a11 * du * dv)
+        f2 = (self.b00 + self.b10 * du + self.b01 * dv
+              + self.b20 * du * du + self.b11 * du * dv + self.b02 * dv * dv
+              + self.b30 * du**3 + self.b21 * du * du * dv
+              + self.b12 * du * dv * dv + self.b03 * dv**3)
+        return f1, f2
 
 
 def nondimensionalize(p: DimensionalParams) -> ModelParams:
@@ -162,7 +173,7 @@ def _field(q: float, s: float, h: float, m: float, x: float, y: float) -> tuple[
 
 
 def _jacobian(q: float, s: float, m: float, x: float, y: float) -> tuple[float, float, float, float]:
-    # (f1_x, f1_y, f2_x, f2_y); arithmetic only like _field, so arrays work too
+    # (a10, a01, b10, b01); arithmetic only like _field, so arrays work too
     g = y * y * (y - m)
     g_y = 3.0 * y * y - 2.0 * m * y
     ix = 1.0 / x
@@ -176,8 +187,8 @@ def vector_field(p: ModelParams, u: State) -> np.ndarray:
     return np.array(_field(p.q, p.s, p.h, p.m, u.x, u.y))
 
 
-def derivatives(p: ModelParams, u: State) -> DerivativeBundle:
-    """Evaluate the field and all partials up to third order analytically.
+def derivatives(p: ModelParams, u: State) -> TaylorCoefficients:
+    """Taylor coefficients of the field up to third order, in closed form.
 
     The predator component is written as f2 = s*(y^2 - m*y - g/x) with
     g = y^3 - m*y^2, so the x-dependence sits entirely in the 1/x factor.
@@ -192,17 +203,22 @@ def derivatives(p: ModelParams, u: State) -> DerivativeBundle:
     g_yy = 6.0 * y - 2.0 * m
     ix = 1.0 / x
     ix2 = ix * ix
+    a00, b00 = _field(q, s, p.h, m, x, y)
+    a10, a01, b10, b01 = _jacobian(q, s, m, x, y)
 
     # positional: keyword arguments make this hot constructor slower
-    return DerivativeBundle(
-        *_field(q, s, p.h, m, x, y),    # f1, f2
-        *_jacobian(q, s, m, x, y),      # f1_x, f1_y, f2_x, f2_y
-        -2.0, -q, 0.0,                  # f1_xx, f1_xy, f1_yy
-        -2.0 * s * g * ix2 * ix,        # f2_xx
-        s * g_y * ix2,                  # f2_xy
-        s * (2.0 - g_yy * ix),          # f2_yy
-        6.0 * s * g * ix2 * ix2,        # f2_xxx
-        -2.0 * s * g_y * ix2 * ix,      # f2_xxy
-        s * g_yy * ix2,                 # f2_xyy
-        -6.0 * s * ix,                  # f2_yyy
+    return TaylorCoefficients(
+        a00, a10, a01,
+        -1.0, -q, 0.0,                  # a20, a11, a02
+        0.0, 0.0, 0.0, 0.0,             # a30, a21, a12, a03
+        b00, b10, b01,
+        -s * g * ix2 * ix,              # b20
+        s * g_y * ix2,                  # b11
+        0.5 * (s * (2.0 - g_yy * ix)),  # b02
+        # b30 and b03 keep the third partial's rounding: 6.0*s*ix/6.0 and
+        # s*ix are not always the same double
+        6.0 * s * g * ix2 * ix2 / 6.0,  # b30
+        -s * g_y * ix2 * ix,            # b21
+        0.5 * (s * g_yy * ix2),         # b12
+        -6.0 * s * ix / 6.0,            # b03
     )

@@ -11,6 +11,9 @@ Two local checks are provided:
   nilpotent form, and read off the two quadratic coefficients of the reduced
   second equation; both nonzero certifies a codimension-2 cusp.
 
+Both read the local expansion that `model.derivatives` returns, the Taylor
+coefficients a_ij and b_ij of the two components.
+
 Eigenvector normalisation is fixed so the reported coefficients are
 reproducible: the zero-eigenvalue direction has first component 1 (its first
 component never vanishes here because df1/dy = -q*x != 0), and the
@@ -22,11 +25,10 @@ import enum
 from dataclasses import dataclass
 
 from .errors import NotDoublyDegenerate, NotSemiDegenerate
-from .model import DerivativeBundle, ModelParams, State, derivatives
+from .model import ModelParams, State, TaylorCoefficients, derivatives
 from .equilibria import COEFF_TOL, Equilibrium, Linearization, linearize
 
 __all__ = [
-    "TaylorCoefficients",
     "SaddleNodeVerdict",
     "SaddleNodeCheck",
     "CuspVerdict",
@@ -35,48 +37,6 @@ __all__ = [
     "saddle_node_check",
     "cusp_check",
 ]
-
-@dataclass(frozen=True)
-class TaylorCoefficients:
-    """Taylor coefficients (i + j <= 3) of both components around a point.
-
-    a_ij multiplies dx^i dy^j in the prey component, b_ij in the predator
-    component.  The prey component is quadratic, so a02 and every a_ij with
-    i + j = 3 are identically zero and not stored.
-    """
-
-    a00: float
-    a10: float
-    a01: float
-    a20: float
-    a11: float
-    b00: float
-    b10: float
-    b01: float
-    b20: float
-    b11: float
-    b02: float
-    b30: float
-    b21: float
-    b12: float
-    b03: float
-
-    a02: float = 0.0
-    a30: float = 0.0
-    a21: float = 0.0
-    a12: float = 0.0
-    a03: float = 0.0
-
-    def evaluate(self, du: float, dv: float) -> tuple[float, float]:
-        """Sum the expansion at displacement (du, dv) from the base point."""
-        f1 = (self.a00 + self.a10 * du + self.a01 * dv
-              + self.a20 * du * du + self.a11 * du * dv)
-        f2 = (self.b00 + self.b10 * du + self.b01 * dv
-              + self.b20 * du * du + self.b11 * du * dv + self.b02 * dv * dv
-              + self.b30 * du**3 + self.b21 * du * du * dv
-              + self.b12 * du * dv * dv + self.b03 * dv**3)
-        return f1, f2
-
 
 class SaddleNodeVerdict(enum.Enum):
     SADDLE_NODE = "SaddleNode"
@@ -104,25 +64,18 @@ class CuspCheck:
 
 def taylor_at(p: ModelParams, e: Equilibrium | State) -> TaylorCoefficients:
     """Taylor expansion of the vector field around an equilibrium (or any
-    admissible point), coefficients scaled by the usual factorials."""
-    return _taylor_from_bundle(derivatives(p, State(e.x, e.y)))
+    admissible point): `derivatives` at its state."""
+    return derivatives(p, State(e.x, e.y))
 
 
-def _taylor_from_bundle(d: DerivativeBundle) -> TaylorCoefficients:
-    return TaylorCoefficients(
-        a00=d.f1, a10=d.f1_x, a01=d.f1_y,
-        a20=0.5 * d.f1_xx, a11=d.f1_xy,
-        b00=d.f2, b10=d.f2_x, b01=d.f2_y,
-        b20=0.5 * d.f2_xx, b11=d.f2_xy, b02=0.5 * d.f2_yy,
-        b30=d.f2_xxx / 6.0, b21=0.5 * d.f2_xxy,
-        b12=0.5 * d.f2_xyy, b03=d.f2_yyy / 6.0,
-    )
-
-
-def _bilinear(d: DerivativeBundle, u: tuple[float, float], v: tuple[float, float]) -> tuple[float, float]:
+def _bilinear(t: TaylorCoefficients, u: tuple[float, float],
+              v: tuple[float, float]) -> tuple[float, float]:
     # D^2 f (u, v): second-derivative bilinear form applied to two directions
-    s1 = d.f1_xx * u[0] * v[0] + d.f1_xy * (u[0] * v[1] + u[1] * v[0]) + d.f1_yy * u[1] * v[1]
-    s2 = d.f2_xx * u[0] * v[0] + d.f2_xy * (u[0] * v[1] + u[1] * v[0]) + d.f2_yy * u[1] * v[1]
+    # from the Taylor coefficients: f_xx = 2*a20, f_xy = a11, f_yy = 2*a02
+    s1 = (2.0 * t.a20 * u[0] * v[0] + t.a11 * (u[0] * v[1] + u[1] * v[0])
+          + 2.0 * t.a02 * u[1] * v[1])
+    s2 = (2.0 * t.b20 * u[0] * v[0] + t.b11 * (u[0] * v[1] + u[1] * v[0])
+          + 2.0 * t.b02 * u[1] * v[1])
     return s1, s2
 
 
@@ -135,21 +88,21 @@ def saddle_node_check(p: ModelParams, e: Equilibrium | State) -> SaddleNodeCheck
     coefficient of the squared center coordinate in the center equation
     after the basis change.  c20 != 0 certifies a saddle-node.
     """
-    d = derivatives(p, State(e.x, e.y))
-    return _saddle_node_check(d, linearize(d))
+    t = derivatives(p, State(e.x, e.y))
+    return _saddle_node_check(t, linearize(t))
 
 
-def _saddle_node_check(d: DerivativeBundle, lin: Linearization) -> SaddleNodeCheck:
+def _saddle_node_check(t: TaylorCoefficients, lin: Linearization) -> SaddleNodeCheck:
     tr = lin.tr
     if not lin.det_zero or lin.tr_zero:
         raise NotSemiDegenerate(
             f"need det ~ 0 and trace != 0, got det = {lin.det:.3e}, trace = {tr:.3e}"
         )
     # df1/dy = -q x never vanishes, so both eigenvectors are graphs over x
-    v0 = (1.0, -d.f1_x / d.f1_y)
-    v1 = (1.0, (tr - d.f1_x) / d.f1_y)
+    v0 = (1.0, -t.a10 / t.a01)
+    v1 = (1.0, (tr - t.a10) / t.a01)
     det_p = v1[1] - v0[1]
-    q1, q2 = _bilinear(d, v0, v0)
+    q1, q2 = _bilinear(t, v0, v0)
     c20 = 0.5 * (v1[1] * q1 - q2) / det_p
     verdict = (
         SaddleNodeVerdict.SADDLE_NODE if abs(c20) > COEFF_TOL
@@ -169,21 +122,21 @@ def cusp_check(p: ModelParams, e: Equilibrium | State) -> CuspCheck:
     and reduces near the origin to y' = g20 x^2 + g11 x y with g20 = f20 and
     g11 = f11 + 2 e20.  Both nonzero certifies a codimension-2 cusp.
     """
-    d = derivatives(p, State(e.x, e.y))
-    return _cusp_check(d, linearize(d))
+    t = derivatives(p, State(e.x, e.y))
+    return _cusp_check(t, linearize(t))
 
 
-def _cusp_check(d: DerivativeBundle, lin: Linearization) -> CuspCheck:
+def _cusp_check(t: TaylorCoefficients, lin: Linearization) -> CuspCheck:
     if not (lin.det_zero and lin.tr_zero):
         raise NotDoublyDegenerate(
             f"need det ~ 0 and trace ~ 0, got det = {lin.det:.3e}, trace = {lin.tr:.3e}"
         )
-    j12 = d.f1_y  # nonzero, so J != 0 and the kernel basis below is valid
-    q0 = (1.0, -d.f1_x / j12)
+    j12 = t.a01  # nonzero, so J != 0 and the kernel basis below is valid
+    q0 = (1.0, -t.a10 / j12)
     q1 = (0.0, 1.0 / j12)
     # inverse of T = [q0 | q1]: rows (1, 0) and (-j12*q0[1], j12)
-    h00_1, h00_2 = _bilinear(d, q0, q0)
-    h01_1, h01_2 = _bilinear(d, q0, q1)
+    h00_1, h00_2 = _bilinear(t, q0, q0)
+    h01_1, h01_2 = _bilinear(t, q0, q1)
     e20 = 0.5 * h00_1
     f20 = 0.5 * (-j12 * q0[1] * h00_1 + j12 * h00_2)
     f11 = -j12 * q0[1] * h01_1 + j12 * h01_2

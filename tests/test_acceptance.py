@@ -255,11 +255,11 @@ def test_criterion_5_hopf_direction_vs_oracle(acceptance, hopf_cycles):
     s2, rep = hopf_cycles["s2"], hopf_cycles["rep"]
     assert s2 == pytest.approx(0.5, abs=1e-12)
     d = al.derivatives(al.ModelParams(q=q, s=s2, h=h, m=m), al.State(0.3, 0.3))
-    assert abs(d.f1_x + d.f2_y) <= 1e-12  # trace vanishes at the critical value
+    assert abs(d.a10 + d.b01) <= 1e-12  # trace vanishes at the critical value
 
     def trace_at(s):
         dd = al.derivatives(al.ModelParams(q=q, s=s, h=h, m=m), al.State(0.3, 0.3))
-        return dd.f1_x + dd.f2_y
+        return dd.a10 + dd.b01
 
     fd = (trace_at(s2 + 1e-6) - trace_at(s2 - 1e-6)) / 2e-6
     assert fd == pytest.approx(m - 0.3, abs=1e-8)
@@ -386,16 +386,17 @@ def test_criterion_8_oracle_integrity(acceptance):
         pp = random_params(rng)
         x, y = random_state(rng)
         d = al.derivatives(pp, al.State(x, y))
-        for i, (an_x, an_y) in enumerate(((d.f1_x, d.f1_y), (d.f2_x, d.f2_y))):
+        # i! j! times a Taylor coefficient is the partial it stands for
+        for i, (an_x, an_y) in enumerate(((d.a10, d.a01), (d.b10, d.b01))):
             fd_x, fd_y = fd_gradient(component(pp, i), x, y)
             assert rel_err(an_x, fd_x) <= 1e-6 and rel_err(an_y, fd_y) <= 1e-6
         for analytic, fd in (
-            ((d.f1_xx, d.f1_xy, d.f1_yy), fd_second(component(pp, 0), x, y)),
-            ((d.f2_xx, d.f2_xy, d.f2_yy), fd_second(component(pp, 1), x, y)),
+            ((2 * d.a20, d.a11, 2 * d.a02), fd_second(component(pp, 0), x, y)),
+            ((2 * d.b20, d.b11, 2 * d.b02), fd_second(component(pp, 1), x, y)),
         ):
             for a_val, b_val in zip(analytic, fd):
                 assert rel_err(a_val, b_val) <= 1e-5
-        analytic3 = (d.f2_xxx, d.f2_xxy, d.f2_xyy, d.f2_yyy)
+        analytic3 = (6 * d.b30, 2 * d.b21, 2 * d.b12, 6 * d.b03)
         for a_val, b_val in zip(analytic3, fd_third(component(pp, 1), x, y, scale_with_x=True)):
             assert rel_err(a_val, b_val) <= 1e-5
     acceptance(8, "oracle integrity", True,

@@ -142,7 +142,7 @@ class TestFirstLyapunovCoefficient:
 
         def trace_at(s):
             d = al.derivatives(al.ModelParams(q=q, s=s, h=h, m=m), al.State(x8, x8))
-            return d.f1_x + d.f2_y
+            return d.a10 + d.b01
 
         fd = (trace_at(s2 + 1e-6) - trace_at(s2 - 1e-6)) / 2e-6
         assert fd == pytest.approx(m - x8, abs=1e-8)

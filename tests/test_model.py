@@ -108,10 +108,10 @@ class TestDerivatives:
         for q, s, m in [(1.0, 1.0, 0.2), (2.5, 0.7, 0.45)]:
             p = al.ModelParams(q=q, s=s, h=0.25, m=m)
             d = al.derivatives(p, al.State(0.5, 0.0))
-            assert d.f1_x == pytest.approx(0.0, abs=1e-15)
-            assert d.f1_y == pytest.approx(-q / 2)
-            assert d.f2_x == pytest.approx(0.0, abs=1e-15)
-            assert d.f2_y == pytest.approx(-s * m)
+            assert d.a10 == pytest.approx(0.0, abs=1e-15)
+            assert d.a01 == pytest.approx(-q / 2)
+            assert d.b10 == pytest.approx(0.0, abs=1e-15)
+            assert d.b01 == pytest.approx(-s * m)
 
     def test_prey_component_third_partials_vanish(self):
         rng = np.random.default_rng(3)
@@ -125,7 +125,7 @@ class TestDerivatives:
     def test_predator_cubic_y_coefficient(self):
         p = al.ModelParams(q=1, s=1, h=0.12, m=0.1)
         d = al.derivatives(p, al.State(0.3, 0.3))
-        assert d.f2_yyy / 6.0 == pytest.approx(-p.s / 0.3, rel=1e-12)
+        assert d.b03 == pytest.approx(-p.s / 0.3, rel=1e-12)
 
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -133,7 +133,7 @@ class TestDerivatives:
             p = random_params(rng)
             x, y = random_state(rng)
             d = al.derivatives(p, al.State(x, y))
-            for i, (an_x, an_y) in enumerate(((d.f1_x, d.f1_y), (d.f2_x, d.f2_y))):
+            for i, (an_x, an_y) in enumerate(((d.a10, d.a01), (d.b10, d.b01))):
                 fd_x, fd_y = fd_gradient(component(p, i), x, y)
                 assert rel_err(an_x, fd_x) <= 1e-6
                 assert rel_err(an_y, fd_y) <= 1e-6
@@ -145,8 +145,9 @@ class TestDerivatives:
             x, y = random_state(rng)
             d = al.derivatives(p, al.State(x, y))
             pairs = (
-                ((d.f1_xx, d.f1_xy, d.f1_yy), fd_second(component(p, 0), x, y)),
-                ((d.f2_xx, d.f2_xy, d.f2_yy), fd_second(component(p, 1), x, y)),
+                # i! j! times a Taylor coefficient is the partial it stands for
+                ((2 * d.a20, d.a11, 2 * d.a02), fd_second(component(p, 0), x, y)),
+                ((2 * d.b20, d.b11, 2 * d.b02), fd_second(component(p, 1), x, y)),
             )
             for analytic, fd in pairs:
                 for a, b in zip(analytic, fd):
@@ -158,7 +159,7 @@ class TestDerivatives:
             p = random_params(rng)
             x, y = random_state(rng)
             d = al.derivatives(p, al.State(x, y))
-            analytic = (d.f2_xxx, d.f2_xxy, d.f2_xyy, d.f2_yyy)
+            analytic = (6 * d.b30, 2 * d.b21, 2 * d.b12, 6 * d.b03)
             fd = fd_third(component(p, 1), x, y, scale_with_x=True)
             for a, b in zip(analytic, fd):
                 assert rel_err(a, b) <= 1e-5

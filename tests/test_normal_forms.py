@@ -41,6 +41,12 @@ class TestTaylorCoefficients:
         assert t.a30 == t.a21 == t.a12 == t.a03 == 0.0
         assert t.a02 == 0.0
 
+    def test_taylor_at_is_derivatives(self):
+        p = al.ModelParams(q=2, s=1, h=0.1, m=0.3)
+        t = al.taylor_at(p, al.State(0.4, 0.3))
+        assert type(t) is al.TaylorCoefficients
+        assert t == al.derivatives(p, al.State(0.4, 0.3))
+
     def test_expansion_reproduces_field_quartically(self):
         rng = np.random.default_rng(21)
         worst_small = worst_large = 0.0
@@ -134,7 +140,7 @@ class TestReductionAgainstSimulation:
         direction must give one capture and one escape."""
         p = al.ModelParams(q=1, s=1, h=0.25, m=0.2)
         d = al.derivatives(p, al.State(0.5, 0.0))
-        v = np.array([1.0, -d.f1_x / d.f1_y])
+        v = np.array([1.0, -d.a10 / d.a01])
         v /= np.linalg.norm(v)
         outcomes = []
         for sign in (+1.0, -1.0):
@@ -151,7 +157,7 @@ class TestReductionAgainstSimulation:
     lambda p, u: al.sotomayor_saddle_node(p, u, "h"),
 ], ids=["saddle_node_check", "cusp_check", "sotomayor_saddle_node"])
 def test_overflowing_linearisation_is_not_representable(check):
-    # f2_y = -2e299 squares past the double range: a typed error, not OverflowError
+    # b01 = -2e299 squares past the double range: a typed error, not OverflowError
     p = al.ModelParams(q=1, s=1e300, h=0.25, m=0.2)
     with pytest.raises(NotRepresentable):
         check(p, al.State(0.5, 0.0))
