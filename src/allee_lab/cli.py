@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -121,6 +122,10 @@ def _cmd_hopf(args: argparse.Namespace) -> int:
 def _cmd_bt(args: argparse.Namespace) -> int:
     _check_format(args, "json")
     _require(args, "q", "m")
+    if args.grid is not None and not args.grid >= 1:
+        raise AlleeLabError(f"--grid must be at least 1, got {args.grid}")
+    if args.eta_box is not None and not 0 < args.eta_box < math.inf:
+        raise AlleeLabError(f"--eta-box must be finite and > 0, got {args.eta_box}")
     base = cusp_base_params(args.q, args.m)
     _check_cusp_base(ModelParams(q=args.q, m=args.m,
                                  s=base.s if args.s is None else args.s,

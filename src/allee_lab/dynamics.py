@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DomainViolation, NoCrossings
+from .errors import DomainViolation, NoCrossings, StepBudgetExceeded
 from .model import ModelParams, State, _field
 
 __all__ = [
@@ -43,6 +43,7 @@ DIVERGENCE_BOUND = 1e6  # |u| at which a run counts as diverged
 X_FLOOR = 1e-8  # prey density at which every run stops (the domain floor)
 CAPTURE_FRACTION = 0.8  # cycle hunts stay within this share of the center's x
 PROBE_RADIUS = 1e-4  # distance of classify_by_simulation's probes from the point
+MAX_STEPS = 200_000  # accepted steps one solve_ivp run may take
 
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Sec. II.5) with Shampine's
@@ -164,10 +165,11 @@ def solve_ivp(fun, t_span, y0, *, t_eval=None, events=None,
     or overflows rejects the step, as an inf or nan error norm does, so a
     blow-up ends in a step-size underflow.  Returns `t`, `y` (2 x n),
     `t_events`, `y_events`, `status` (0 end of span, 1 terminal event, -1
-    step-size underflow) and `nfev` (2 + 6 per attempted step).  The
-    keywords are scipy's for its default RK45, which has no `method` here.
-    Call sites look this name up at call time, so a caller can swap in a
-    wrapper.
+    step-size underflow) and `nfev` (2 + 6 per attempted step).  A run
+    that needs more than `MAX_STEPS` accepted steps raises
+    StepBudgetExceeded.  The keywords are scipy's for its default RK45,
+    which has no `method` here.  Call sites look this name up at call time,
+    so a caller can swap in a wrapper.
     """
     t0, tf = float(t_span[0]), float(t_span[1])
     x, y = float(y0[0]), float(y0[1])
@@ -190,7 +192,14 @@ def solve_ivp(fun, t_span, y0, *, t_eval=None, events=None,
     nfev = 2
     ts, us = ([t0], [(x, y)]) if samples is None else ([], [])
     status = None
+    budget, n_steps = MAX_STEPS, 0
     while status is None:
+        if n_steps == budget:
+            raise StepBudgetExceeded(
+                f"integration stopped after {budget} steps at t = {t!r} of {tf!r}: "
+                "the step size is too small for this horizon"
+            )
+        n_steps += 1
         min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
         if h_abs > max_step:
             h_abs = max_step
@@ -315,16 +324,10 @@ class Trajectory:
         return np.column_stack([self.t, self.x, self.y])
 
 
-def _rhs(p: ModelParams, reverse: bool = False):
+def _rhs(p: ModelParams):
+    # reversed flows run this field backward in time, over (t0, -t_end)
     q, s, h, m = p.q, p.s, p.h, p.m
-    if not reverse:
-        return lambda t, u: _field(q, s, h, m, u[0], u[1])
-
-    def rhs(t, u):
-        f1, f2 = _field(q, s, h, m, u[0], u[1])
-        return (-f1, -f2)
-
-    return rhs
+    return lambda t, u: _field(q, s, h, m, u[0], u[1])
 
 
 def _event(g, direction: float, terminal: bool = True):
@@ -409,15 +412,20 @@ def _section_crossings(p: ModelParams, center: State, start: State, cfg: Integra
     """Times and x-locations of oriented crossings of {y = yc, x > xc}.
 
     The crossing orientation is fixed to "upward for the forward flow";
-    reversed runs flip the event direction so they record the same
-    geometric section.  Integration proceeds in windows and stops early
-    once the return map has converged (or clearly spiralled into the
-    center), which keeps long-horizon cycle hunts affordable.
+    reversed runs integrate backward in time (their times are negative) and
+    flip the event direction so they record the same geometric section.
+    Integration proceeds in windows and stops early once the return map has
+    converged (or clearly spiralled into the center), which keeps
+    long-horizon cycle hunts affordable.
     """
-    rhs = _rhs(p, reverse)
-    probe = rhs(0.0, (center.x + 1e-3, center.y))
+    rhs = _rhs(p)
+    sign = -1.0 if reverse else 1.0
+    # where the probe does not move off the section, the direction is -1
+    # either way
+    probe = rhs(0.0, (center.x + 1e-3, center.y))[1]
+    rising = probe < 0 if reverse else probe > 0
     yc = center.y
-    section = _event(lambda t, u: u[1] - yc, 1.0 if probe[1] > 0 else -1.0, terminal=False)
+    section = _event(lambda t, u: u[1] - yc, 1.0 if rising else -1.0, terminal=False)
     events = [section, _floor_event(), _ball_event(center, CAPTURE_FRACTION * center.x, 1.0)]
 
     times: list[float] = []
@@ -428,7 +436,7 @@ def _section_crossings(p: ModelParams, center: State, start: State, cfg: Integra
     while t0 < cfg.t_max:
         sol = solve_ivp(
             rhs,
-            (t0, min(t0 + window, cfg.t_max)),
+            (sign * t0, sign * min(t0 + window, cfg.t_max)),
             u,
             rtol=cfg.rel_tol,
             atol=cfg.abs_tol,
@@ -444,7 +452,7 @@ def _section_crossings(p: ModelParams, center: State, start: State, cfg: Integra
                 locs.append(float(state[0]))
         if sol.status != 0:
             break  # left the capture region or hit the domain floor
-        t0 = float(sol.t[-1])
+        t0 = sign * float(sol.t[-1])
         u = (float(sol.y[0, -1]), float(sol.y[1, -1]))
         radii = np.asarray(locs) - center.x
         if _analyze_returns(radii, cfg.abs_tol)[0]:
@@ -495,10 +503,11 @@ def _analyze_returns(radii: np.ndarray, abs_tol: float) -> tuple[bool, float | N
 
 def _one_period(p: ModelParams, center: State, x_start: float, period: float,
                 cfg: IntegratorConfig, reverse: bool) -> float:
-    tt = np.linspace(0.0, period, 2000)
+    t_end = -period if reverse else period
+    tt = np.linspace(0.0, t_end, 2000)
     sol = solve_ivp(
-        _rhs(p, reverse),
-        (0.0, period),
+        _rhs(p),
+        (0.0, t_end),
         (x_start, center.y),
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,
@@ -536,7 +545,7 @@ def detect_cycle(p: ModelParams, center: State, cfg: IntegratorConfig | None = N
         any_crossings = any_crossings or len(te) > 0
         found, radius = _analyze_returns(xe - center.x, cfg.abs_tol)
         if found:
-            period = float(te[-1] - te[-2])
+            period = abs(float(te[-1] - te[-2]))
             amplitude = _one_period(p, center, float(xe[-1]), period, cfg, reverse)
             return CycleDetection(
                 found=True,
@@ -591,7 +600,7 @@ def _probe(p: ModelParams, center: State, u0: tuple[float, float], events: list,
     one (or the domain), 'U' otherwise.
     """
     sol = solve_ivp(
-        _rhs(p, reverse), (0.0, t_max), u0,
+        _rhs(p), (0.0, -t_max if reverse else t_max), u0,
         rtol=1e-9, atol=1e-13, max_step=max_step, events=events,
     )
     dx, dy = sol.y[0] - center.x, sol.y[1] - center.y

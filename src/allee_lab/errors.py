@@ -17,6 +17,7 @@ __all__ = [
     "CuspConditionsViolated",
     "SignAssumptionViolated",
     "NoCrossings",
+    "StepBudgetExceeded",
 ]
 
 
@@ -85,3 +86,8 @@ class SignAssumptionViolated(AlleeLabError):
 
 class NoCrossings(AlleeLabError):
     """A trajectory never returned to the Poincare section."""
+
+
+class StepBudgetExceeded(AlleeLabError):
+    """An integration needed more accepted steps than the integrator allows
+    one run (a horizon too long for the step size stability permits)."""

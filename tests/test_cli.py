@@ -135,6 +135,13 @@ class TestBT:
         # a NaN compares false with every band, so it is rejected as a value
         (("--h", "nan"), "h must be finite"),
         (("--s", "nan"), "s must be finite"),
+        # grid and box are checked before any ladder runs
+        (("--grid", "0"), "--grid must be at least 1, got 0"),
+        (("--grid", "-1"), "--grid must be at least 1, got -1"),
+        (("--grid", "2", "--eta-box=-1e-3"), "--eta-box must be finite and > 0, got -0.001"),
+        (("--grid", "2", "--eta-box=0"), "--eta-box must be finite and > 0, got 0.0"),
+        (("--grid", "2", "--eta-box", "nan"), "--eta-box must be finite and > 0, got nan"),
+        (("--grid", "2", "--eta-box", "inf"), "--eta-box must be finite and > 0, got inf"),
     ])
     def test_off_cusp_base_exits_2(self, capsys, flag, named):
         assert main(["bt", "--q", "1", "--m", "0.1", *flag]) == 2
@@ -220,6 +227,36 @@ class TestSimulate:
                "--m=0.2", "--x0=0.71", "--y0=0.01", "--tmax=inf"]
         res = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
         assert (res.returncode, res.stdout, res.stderr) == (2, "", "error: t_max must be finite\n")
+
+    @pytest.mark.parametrize("argv", [
+        # near the stable node the step size is capped by stability, so a
+        # long horizon takes a step count proportional to its length
+        ["--s=1", "--h=0.21", "--x0=0.71", "--y0=0.01", "--tmax=1e300"],
+        # stiff: at s = 1e6 even the default horizon needs tiny steps
+        ["--s=1e6", "--h=0.1", "--x0=0.9", "--y0=0.01"],
+    ])
+    def test_step_budget_exits_2(self, monkeypatch, capsys, argv):
+        import allee_lab.dynamics as dynamics
+
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 500)
+        assert main(["simulate", "--q=1", "--m=0.2", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: integration stopped after 500 steps at t = ")
+        assert len(err.splitlines()) == 1
+
+    def test_run_within_step_budget_completes(self, monkeypatch, capsys):
+        import allee_lab.dynamics as dynamics
+
+        argv = ["simulate", "--q=1", "--s=1", "--h=0.21", "--m=0.2", "--x0=0.71", "--y0=0.01",
+                "--tmax=20"]
+        assert main(argv) == 0
+        rows = len(capsys.readouterr().out.splitlines()) - 2  # header and initial row
+        monkeypatch.setattr(dynamics, "MAX_STEPS", rows)
+        assert main(argv) == 0
+        monkeypatch.setattr(dynamics, "MAX_STEPS", rows - 1)
+        assert main(argv) == 2
+        capsys.readouterr()
 
     def test_log_uniform_starts_exit_0_or_2(self, capsys):
         rng = np.random.default_rng(3141)

@@ -105,6 +105,19 @@ class TestIntegratorAccuracy:
         assert 0.5 <= slope <= 1.5
 
 
+def _field_rhs(p, reverse):
+    # the model's field, or its negation: the reversed flow in forward time
+    rhs = dynamics._rhs(p)
+    if not reverse:
+        return rhs
+
+    def negated(t, u):
+        f1, f2 = rhs(t, u)
+        return (-f1, -f2)
+
+    return negated
+
+
 def _reference_runs():
     """Seeded integrate-style runs: both flow directions, both time
     directions, max_step inf and 1, three tolerance pairs, with the floor,
@@ -125,7 +138,7 @@ def _reference_runs():
         events = [dynamics._floor_event(), dynamics._divergence_event(), section]
         span = (0.0, -60.0) if backward else (0.0, 60.0)
         kwargs = dict(rtol=rtol, atol=atol, max_step=max_step, events=events)
-        yield dynamics._rhs(p, reverse), span, u0, kwargs
+        yield _field_rhs(p, reverse), span, u0, kwargs
     # starts whose stages overflow: every step is rejected until it underflows
     p = al.ModelParams(q=1, s=1, h=0.1, m=0.2)
     for u0 in ((1e-7, 1e300), (1e300, 1e300), (0.5, 1e154)):
@@ -161,8 +174,8 @@ class TestSolverAgainstScipy:
         tt = np.linspace(0.0, 45.3, 2000)
         for reverse in (False, True):
             kwargs = dict(rtol=1e-10, atol=1e-12, t_eval=tt)
-            ref = scipy_solve_ivp(dynamics._rhs(p, reverse), (0.0, 45.3), (0.33, 0.3), **kwargs)
-            got = dynamics.solve_ivp(dynamics._rhs(p, reverse), (0.0, 45.3), (0.33, 0.3), **kwargs)
+            ref = scipy_solve_ivp(_field_rhs(p, reverse), (0.0, 45.3), (0.33, 0.3), **kwargs)
+            got = dynamics.solve_ivp(_field_rhs(p, reverse), (0.0, 45.3), (0.33, 0.3), **kwargs)
             assert got.status == ref.status == 0 and got.nfev == ref.nfev
             assert np.array_equal(got.t, tt)
             assert np.max(np.abs(got.y - ref.y)) <= 1e-12
