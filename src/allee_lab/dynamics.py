@@ -12,7 +12,8 @@ per-step cost is the vector field, not array bookkeeping.  Its tableau,
 step-size controller, event location and `nfev` count follow the usual
 RK45 solver contract.  The predator equation is singular at x = 0, so every
 run carries a terminal "domain floor" event instead of ever evaluating 1/x
-at rounding-scale prey densities.
+at rounding-scale prey densities.  A run may take `MAX_STEPS` accepted
+steps; reversed flows are the same field integrated backward in time.
 """
 from __future__ import annotations
 
