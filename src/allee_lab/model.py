@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,13 +104,14 @@ class State:
     y: float
 
 
-@dataclass(frozen=True)
-class TaylorCoefficients:
+class TaylorCoefficients(NamedTuple):
     """Taylor coefficients (i + j <= 3) of both components around a point.
 
     a_ij multiplies dx^i dy^j in the prey component, b_ij in the predator
     component, so a_ij = (d^(i+j) f1 / dx^i dy^j) / (i! j!).  The prey
     component is quadratic: a02 and every a_ij with i + j = 3 are zero.
+    A named tuple, not a frozen dataclass: `derivatives` builds one per
+    call, and the tuple is built in a fifth of the time.
     """
 
     a00: float
