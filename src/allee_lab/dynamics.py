@@ -421,10 +421,9 @@ def _section_crossings(p: ModelParams, center: State, start: State, cfg: Integra
     """
     rhs = _rhs(p)
     sign = -1.0 if reverse else 1.0
-    # where the probe does not move off the section, the direction is -1
-    # either way
-    probe = rhs(0.0, (center.x + 1e-3, center.y))[1]
-    rising = probe < 0 if reverse else probe > 0
+    # a probe that stays on the section (a center on y = 0) gives -1 in
+    # both time directions
+    rising = sign * rhs(0.0, (center.x + 1e-3, center.y))[1] > 0
     yc = center.y
     section = _event(lambda t, u: u[1] - yc, 1.0 if rising else -1.0, terminal=False)
     events = [section, _floor_event(), _ball_event(center, CAPTURE_FRACTION * center.x, 1.0)]
@@ -502,9 +501,9 @@ def _analyze_returns(radii: np.ndarray, abs_tol: float) -> tuple[bool, float | N
     return False, None
 
 
-def _one_period(p: ModelParams, center: State, x_start: float, period: float,
-                cfg: IntegratorConfig, reverse: bool) -> float:
-    t_end = -period if reverse else period
+def _one_period(p: ModelParams, center: State, x_start: float, t_end: float,
+                cfg: IntegratorConfig) -> float:
+    # t_end is minus the period for a reversed flow
     tt = np.linspace(0.0, t_end, 2000)
     sol = solve_ivp(
         _rhs(p),
@@ -546,11 +545,11 @@ def detect_cycle(p: ModelParams, center: State, cfg: IntegratorConfig | None = N
         any_crossings = any_crossings or len(te) > 0
         found, radius = _analyze_returns(xe - center.x, cfg.abs_tol)
         if found:
-            period = abs(float(te[-1] - te[-2]))
-            amplitude = _one_period(p, center, float(xe[-1]), period, cfg, reverse)
+            t_end = float(te[-1] - te[-2])
+            amplitude = _one_period(p, center, float(xe[-1]), t_end, cfg)
             return CycleDetection(
                 found=True,
-                period=period,
+                period=abs(t_end),
                 amplitude=amplitude,
                 section_crossings=list(map(float, xe)),
                 stability=stability,
@@ -593,15 +592,15 @@ def _fd_jacobian(p: ModelParams, x: float, y: float, step: float = 1e-6) -> np.n
 
 
 def _probe(p: ModelParams, center: State, u0: tuple[float, float], events: list,
-           t_max: float, max_step: float, reverse: bool) -> tuple[str, float]:
-    """Integrate one probe; returns (outcome, |winding angle|).
+           t_end: float, max_step: float) -> tuple[str, float]:
+    """Integrate one probe over (0, t_end); returns (outcome, |winding angle|).
 
     `events` are the inner ball, the outer ball and the floor.  Outcome is
     'A' if the probe fell into the inner ball, 'E' if it left the outer
     one (or the domain), 'U' otherwise.
     """
     sol = solve_ivp(
-        _rhs(p), (0.0, -t_max if reverse else t_max), u0,
+        _rhs(p), (0.0, t_end), u0,
         rtol=1e-9, atol=1e-13, max_step=max_step, events=events,
     )
     dx, dy = sol.y[0] - center.x, sol.y[1] - center.y
@@ -655,7 +654,7 @@ def classify_by_simulation(p: ModelParams, e) -> SimVerdict:
             u0 = (xc + PROBE_RADIUS * math.cos(ang), yc + PROBE_RADIUS * math.sin(ang))
             if u0[0] <= x_floor or u0[1] < 0.0:
                 continue  # probe would start outside the admissible domain
-            out, wind = _probe(p, center, u0, events, t_max, max_step, reverse)
+            out, wind = _probe(p, center, u0, events, -t_max if reverse else t_max, max_step)
             outcomes[reverse].append(out)
             windings[reverse].append(wind)
 

@@ -110,8 +110,8 @@ class TaylorCoefficients(NamedTuple):
     a_ij multiplies dx^i dy^j in the prey component, b_ij in the predator
     component, so a_ij = (d^(i+j) f1 / dx^i dy^j) / (i! j!).  The prey
     component is quadratic: a02 and every a_ij with i + j = 3 are zero.
-    A named tuple, not a frozen dataclass: `derivatives` builds one per
-    call, and the tuple is built in a fifth of the time.
+    A named tuple: `derivatives` builds one per call, and a tuple of 20
+    fields builds about five times faster than a frozen dataclass.
     """
 
     a00: float
