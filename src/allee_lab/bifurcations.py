@@ -28,8 +28,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .equilibria import (
     BT_JAC_DET_TOL, CUSP_BASE_TOL, F20_RTOL, HOPF_TRACE_RTOL, PHI_RTOL, TRANSVERSALITY_TOL,
     WEAK_CENTER_RTOL, Equilibrium, _diagonal_roots, _h3, _s1, _s_trace_zero, linearize,
@@ -385,6 +383,28 @@ def _ladder(p_base: ModelParams, h3: float, s1: float, eta: tuple[float, float])
     return stages, mirrored
 
 
+def _det2(a: float, b: float, c: float, d: float) -> float:
+    """det [[a, b], [c, d]] in np.linalg.det's floats: LU with partial
+    pivoting, then sign * exp(log|u00| + log|u11|)."""
+    sign = 1.0
+    if abs(c) > abs(a):
+        a, b, c, d = c, d, a, b
+        sign = -1.0
+    if a == 0.0:
+        return 0.0
+    # times the reciprocal, as LAPACK scales the pivot column: c / a can
+    # round differently
+    u11 = d - c * (1.0 / a) * b
+    if u11 == 0.0:
+        return 0.0
+    if (a < 0.0) != (u11 < 0.0):
+        sign = -sign
+    try:
+        return sign * math.exp(math.log(abs(a)) + math.log(abs(u11)))
+    except OverflowError:  # numpy's exp saturates to inf
+        return sign * math.inf
+
+
 @functools.lru_cache(maxsize=_JACOBIAN_CACHE_SIZE)
 def _unfolding_jacobian_det(q: float, m: float, jac_step: float) -> float:
     """|det d(l00, l01)/d(eta)| at eta = 0 by central differences.
@@ -394,14 +414,13 @@ def _unfolding_jacobian_det(q: float, m: float, jac_step: float) -> float:
     """
     p_base = cusp_base_params(q, m)
 
-    def l_pair(e1: float, e2: float) -> np.ndarray:
-        st, _ = _ladder(p_base, p_base.h, p_base.s, (e1, e2))
-        return np.array([st["l"]["00"], st["l"]["01"]])
+    def l_column(d1: float, d2: float) -> tuple[float, float]:
+        plus, _ = _ladder(p_base, p_base.h, p_base.s, (d1, d2))
+        minus, _ = _ladder(p_base, p_base.h, p_base.s, (-d1, -d2))
+        return tuple((plus["l"][k] - minus["l"][k]) / (2.0 * jac_step) for k in ("00", "01"))
 
-    jac = np.zeros((2, 2))
-    for j, (d1, d2) in enumerate(((jac_step, 0.0), (0.0, jac_step))):
-        jac[:, j] = (l_pair(d1, d2) - l_pair(-d1, -d2)) / (2.0 * jac_step)
-    return abs(float(np.linalg.det(jac)))
+    (a, c), (b, d) = l_column(jac_step, 0.0), l_column(0.0, jac_step)
+    return abs(_det2(a, b, c, d))
 
 
 def bt_normal_form(

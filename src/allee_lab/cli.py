@@ -20,8 +20,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import reporting
 from .bifurcations import (_check_cusp_base, bt_normal_form, cusp_base_params,
                            first_lyapunov_coefficient, hopf_critical_s)
@@ -119,11 +117,33 @@ def _cmd_hopf(args: argparse.Namespace) -> int:
     return 0
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    # np.linspace(lo, hi, n) in the same floats, without importing numpy
+    delta = hi - lo
+    if n == 1:
+        return [0.0 * delta + lo]  # NaN, as numpy's, when delta overflows
+    step = delta / (n - 1)
+    if step == 0.0:  # an underflowing step: numpy scales i / (n - 1) instead
+        values = [i / (n - 1) * delta + lo for i in range(n)]
+    else:
+        values = [i * step + lo for i in range(n)]
+    values[-1] = hi
+    return values
+
+
 def _cmd_bt(args: argparse.Namespace) -> int:
     _check_format(args, "json")
     _require(args, "q", "m")
-    if args.grid is not None and not args.grid >= 1:
-        raise AlleeLabError(f"--grid must be at least 1, got {args.grid}")
+    if args.grid is not None:
+        given = [flag for flag, value in (("--eta1", args.eta1), ("--eta2", args.eta2))
+                 if value is not None]
+        if given:
+            raise AlleeLabError(f"{' and '.join(given)} cannot be combined with --grid, "
+                                "which sets eta over the --eta-box square")
+        if not args.grid >= 1:
+            raise AlleeLabError(f"--grid must be at least 1, got {args.grid}")
+    elif args.eta_box is not None:
+        raise AlleeLabError("--eta-box applies only with --grid")
     if args.eta_box is not None and not 0 < args.eta_box < math.inf:
         raise AlleeLabError(f"--eta-box must be finite and > 0, got {args.eta_box}")
     base = cusp_base_params(args.q, args.m)
@@ -132,11 +152,11 @@ def _cmd_bt(args: argparse.Namespace) -> int:
                                  h=base.h if args.h is None else args.h))
     if args.grid is not None:
         box = args.eta_box if args.eta_box is not None else 1e-3
-        values = np.linspace(-box, box, args.grid)
+        values = _linspace(-box, box, args.grid)
         reports = []
         for e1 in values:
             for e2 in values:
-                rep = bt_normal_form(base, (float(e1), float(e2)))
+                rep = bt_normal_form(base, (e1, e2))
                 reports.append(reporting.bt_report_dict(base, rep))
         _emit(args, dumps_canonical(reports))
         return 0
@@ -225,13 +245,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _linalg_errors() -> tuple[type[Exception], ...]:
+    # only sweeps and integrations import numpy; if it was never loaded, no
+    # LinAlgError can have been raised
+    np = sys.modules.get("numpy")
+    return () if np is None else (np.linalg.LinAlgError,)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _apply_config(args)
         # looked up at call time: the parser is shared, the handlers may be replaced
         return globals()[f"_cmd_{args.command}"](args)
-    except (ArithmeticError, np.linalg.LinAlgError) as err:
+    except (ArithmeticError, *_linalg_errors()) as err:
         # LinAlgError subclasses ValueError, so this branch must come first
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3

@@ -14,6 +14,8 @@ RK45 solver contract.  The predator equation is singular at x = 0, so every
 run carries a terminal "domain floor" event instead of ever evaluating 1/x
 at rounding-scale prey densities.  A run may take `MAX_STEPS` accepted
 steps; reversed flows are the same field integrated backward in time.
+numpy is imported inside the functions that build arrays, so the closed-form
+commands, which import this module, never load it.
 """
 from __future__ import annotations
 
@@ -22,8 +24,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainViolation, NoCrossings, StepBudgetExceeded
 from .model import ModelParams, State, _field
@@ -39,6 +40,9 @@ __all__ = [
     "detect_cycle",
     "classify_by_simulation",
 ]
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DIVERGENCE_BOUND = 1e6  # |u| at which a run counts as diverged
 X_FLOOR = 1e-8  # prey density at which every run stops (the domain floor)
@@ -283,6 +287,8 @@ def solve_ivp(fun, t_span, y0, *, t_eval=None, events=None,
                 us.append(sol(samples[n_sampled]))
                 n_sampled += 1
         k1x, k1y = k7x, k7y
+    import numpy as np
+
     has_events = events is not None
     return SimpleNamespace(
         t=np.array(ts), y=np.array(us).T, status=status, nfev=nfev,
@@ -322,6 +328,8 @@ class Trajectory:
     @property
     def samples(self) -> np.ndarray:
         """(n, 3) array of rows (t, x, y)."""
+        import numpy as np
+
         return np.column_stack([self.t, self.x, self.y])
 
 
@@ -419,6 +427,8 @@ def _section_crossings(p: ModelParams, center: State, start: State, cfg: Integra
     converged (or clearly spiralled into the center), which keeps
     long-horizon cycle hunts affordable.
     """
+    import numpy as np
+
     rhs = _rhs(p)
     sign = -1.0 if reverse else 1.0
     # a probe that stays on the section (a center on y = 0) gives -1 in
@@ -481,6 +491,8 @@ def _analyze_returns(radii: np.ndarray, abs_tol: float) -> tuple[bool, float | N
     gap-to-radius ratio stays pinned at (1 - contraction factor), so both
     certificates reject it.
     """
+    import numpy as np
+
     if len(radii) < 5:
         return False, None
     deltas = np.diff(radii)
@@ -504,6 +516,8 @@ def _analyze_returns(radii: np.ndarray, abs_tol: float) -> tuple[bool, float | N
 def _one_period(p: ModelParams, center: State, x_start: float, t_end: float,
                 cfg: IntegratorConfig) -> float:
     # t_end is minus the period for a reversed flow
+    import numpy as np
+
     tt = np.linspace(0.0, t_end, 2000)
     sol = solve_ivp(
         _rhs(p),
@@ -582,6 +596,8 @@ class SimVerdict(enum.Enum):
 
 def _fd_jacobian(p: ModelParams, x: float, y: float, step: float = 1e-6) -> np.ndarray:
     # oracle-side Jacobian: finite differences only, no closed forms
+    import numpy as np
+
     def f(a, b):
         return np.array(_field(p.q, p.s, p.h, p.m, a, b))
 
@@ -599,6 +615,8 @@ def _probe(p: ModelParams, center: State, u0: tuple[float, float], events: list,
     'A' if the probe fell into the inner ball, 'E' if it left the outer
     one (or the domain), 'U' otherwise.
     """
+    import numpy as np
+
     sol = solve_ivp(
         _rhs(p), (0.0, t_end), u0,
         rtol=1e-9, atol=1e-13, max_step=max_step, events=events,
@@ -630,6 +648,8 @@ def classify_by_simulation(p: ModelParams, e) -> SimVerdict:
     reported Inconclusive rather than guessed.  `e` is anything with x/y
     attributes (an Equilibrium or a State).
     """
+    import numpy as np
+
     xc, yc = float(e.x), float(e.y)
     center = State(xc, yc)
     J = _fd_jacobian(p, xc, yc)

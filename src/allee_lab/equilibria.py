@@ -20,7 +20,8 @@ tolerance of the closed forms is named in the table below.
 
 `portrait_batch` computes the same quantities for many parameter points at
 once as numpy arrays, and marks the points it cannot decide as exactly as
-the scalar path (folds, merges, tolerance-band edges) for that path.
+the scalar path (folds, merges, tolerance-band edges) for that path.  It is
+the only function here that imports numpy; the scalar path runs on floats.
 """
 from __future__ import annotations
 
@@ -28,9 +29,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InconsistentInput, NotRepresentable
 from .model import ModelParams, State, TaylorCoefficients, _field, _jacobian, derivatives
@@ -53,6 +52,9 @@ __all__ = [
     "PortraitBatch",
     "portrait_batch",
 ]
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # relative tolerance deciding the double-root (fold) cases
 DISCRIMINANT_RTOL = 1e-10
@@ -381,18 +383,27 @@ def _classify(p: ModelParams, u: State, label: str,
     else:
         result = StabilityClass.STABLE_FOCUS if lin.tr < 0 else StabilityClass.UNSTABLE_FOCUS
 
-    _check_against_eigenvalues(t.jacobian, lin.norm, result)
+    _check_against_eigenvalues(t.a10, t.a01, t.b10, t.b01, lin.norm, result)
     return lin, result
 
 
-def _check_against_eigenvalues(J: np.ndarray, norm: float, cls: StabilityClass) -> None:
-    # independent route: QR eigenvalues of the assembled matrix
-    lam = np.linalg.eigvals(J)
-    re = np.sort(lam.real)
+def _check_against_eigenvalues(a: float, b: float, c: float, d: float, norm: float,
+                               cls: StabilityClass) -> None:
+    # independent route: the eigenvalues of [[a, b], [c, d]] in closed form,
+    # (a+d)/2 +- sqrt(((a-d)/2)^2 + b*c), which reads neither the bands nor
+    # tr^2 - 4 det; computed on J/norm, so the squares stay finite, then
+    # scaled back
+    k = norm if norm > 0 else 1.0
+    a, b, c, d = a / k, b / k, c / k, d / k
+    mid = 0.5 * (a + d)
+    half = 0.5 * (a - d)
+    r = cmath.sqrt(complex(half * half + b * c, 0.0))
+    lam = (k * (mid + r), k * (mid - r))
+    re = sorted(z.real for z in lam)
     tol = EIGEN_SIGN_RTOL * max(norm, NORM_FLOOR)
     ok = True
     if cls is StabilityClass.SADDLE:
-        ok = re[0] < tol and re[1] > -tol and lam.imag[0] == 0
+        ok = re[0] < tol and re[1] > -tol and lam[0].imag == 0
     elif cls in (StabilityClass.STABLE_NODE, StabilityClass.STABLE_FOCUS):
         ok = re[1] < tol
     elif cls in (StabilityClass.UNSTABLE_NODE, StabilityClass.UNSTABLE_FOCUS):
@@ -400,10 +411,10 @@ def _check_against_eigenvalues(J: np.ndarray, norm: float, cls: StabilityClass) 
     elif cls is StabilityClass.WEAK_CENTER:
         ok = abs(re[0]) <= tol and abs(re[1]) <= tol and abs(lam[0].imag) > tol
     elif cls in (StabilityClass.SADDLE_NODE, StabilityClass.DEGENERATE, StabilityClass.CUSP):
-        ok = min(abs(lam)) <= EIGEN_ZERO_RTOL * max(norm, NORM_FLOOR)
+        ok = min(map(abs, lam)) <= EIGEN_ZERO_RTOL * max(norm, NORM_FLOOR)
     if not ok:
         raise InconsistentInput(
-            f"classification {cls.value} contradicts eigenvalues {lam}"
+            f"classification {cls.value} contradicts eigenvalues {lam[0]}, {lam[1]}"
         )
 
 
@@ -498,6 +509,8 @@ def portrait_batch(q, s, h, m) -> PortraitBatch:
     the residual is not bit-equal to the scalar one, so each band is widened
     by BATCH_MARGIN before a row is trusted.
     """
+    import numpy as np
+
     q, s, h, m = (np.asarray(v, dtype=float)[:, None] for v in (q, s, h, m))
     # absent roots and invalid rows compute NaN and inf; they are masked below
     with np.errstate(all="ignore"):

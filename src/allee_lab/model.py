@@ -19,15 +19,14 @@ All functions here are pure.  `derivatives` returns the local expansion
 as one record, the Taylor coefficients up to third order written in closed
 form (cross-checked against finite differences in the test suite, never
 approximated by them); linearisation, classification and the normal forms
-all read that record.
+all read that record.  Only `vector_field` and `TaylorCoefficients.jacobian`
+return arrays; they import numpy when called.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     AlleeThresholdOutOfRange,
@@ -45,6 +44,9 @@ __all__ = [
     "vector_field",
     "derivatives",
 ]
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _check_positive_finite(params, names: tuple[str, ...]) -> None:
@@ -137,6 +139,8 @@ class TaylorCoefficients(NamedTuple):
 
     @property
     def jacobian(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[self.a10, self.a01], [self.b10, self.b01]])
 
     def evaluate(self, du: float, dv: float) -> tuple[float, float]:
@@ -186,6 +190,8 @@ def vector_field(p: ModelParams, u: State) -> np.ndarray:
     """Evaluate the dimensionless vector field at a state with x > 0."""
     if not u.x > 0:
         raise DomainViolation(f"prey density must be positive, got x = {u.x}")
+    import numpy as np
+
     return np.array(_field(p.q, p.s, p.h, p.m, u.x, u.y))
 
 

@@ -12,8 +12,6 @@ import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 
-import numpy as np
-
 from . import equilibria as eq
 from .bifurcations import BTReport, HopfReport
 from .dynamics import Trajectory
@@ -151,9 +149,10 @@ def _thresholds_dict(t: eq.Thresholds) -> dict:
     }
 
 
-def _on_surface(actual, target):
-    # elementwise on arrays too, where a NaN (absent) target is never hit
-    return abs(actual - target) <= eq.SURFACE_RTOL * np.maximum(1.0, abs(target))
+def _on_surface(actual, target, maximum=max):
+    # elementwise on arrays with maximum=np.maximum; a NaN (absent) target
+    # is never hit on either route
+    return abs(actual - target) <= eq.SURFACE_RTOL * maximum(1.0, abs(target))
 
 
 def _surface_flags(p: ModelParams, t: eq.Thresholds) -> list[str]:
@@ -308,6 +307,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     points near a tolerance band) are evaluated by the scalar `_sweep_row`,
     which every array-built row equals.
     """
+    import numpy as np
+
     grid = spec.grid()
     n = len(grid)
     params = {name: np.full(n, float(value)) for name, value in spec.fixed.items()}
@@ -329,7 +330,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         columns[f"class_{lab}"] = [""] * n if column is None else column.tolist()
     for name in SURFACES:
         columns[name] = ["" if v != v else v for v in t[name].tolist()]  # NaN: absent
-        columns[f"on_{name}"] = _on_surface(params[name[0]], t[name]).astype(int).tolist()
+        on = _on_surface(params[name[0]], t[name], np.maximum)
+        columns[f"on_{name}"] = on.astype(int).tolist()
     rows = [dict(zip(SWEEP_COLUMNS, cells)) for cells in zip(*(columns[c] for c in SWEEP_COLUMNS))]
     for i in np.flatnonzero(~batch.generic):
         rows[i] = _sweep_row(spec, grid[i])

@@ -1,11 +1,16 @@
 """The benchmark in perfbench/ reaches into the package by name: the traced
 run wraps every (module, function) in `tracing.TRACED`, and the worker
 records `reporting.sweep_parallelism()`.  A rename or deletion in
-`allee_lab` breaks those runs without failing any other test."""
+`allee_lab` breaks those runs without failing any other test, and so does a
+lazy import: the traced CLI installs its tracer after `import allee_lab.cli`
+alone and reads each traced module from `sys.modules`."""
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -25,6 +30,17 @@ def test_every_traced_function_resolves():
                if not callable(getattr(importlib.import_module(f"{tracing.PACKAGE}.{mod}"),
                                        attr, None))]
     assert missing == []
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    tracing = _tracing_module()
+    modules = sorted({f"{tracing.PACKAGE}.{mod}" for mod, _ in tracing.TRACED})
+    script = ("import json, sys\nimport allee_lab.cli\n"
+              "print(json.dumps([m for m in json.loads(sys.argv[1]) if m not in sys.modules]))")
+    res = subprocess.run([sys.executable, "-c", script, json.dumps(modules)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == []
 
 
 def test_worker_hook_exists():

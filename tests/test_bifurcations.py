@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import allee_lab as al
@@ -160,6 +162,21 @@ class TestFirstLyapunovCoefficient:
     def test_off_critical_growth_rate_rejected(self):
         with pytest.raises(NotAWeakCenter):
             al.first_lyapunov_coefficient(al.ModelParams(q=1, s=0.6, h=0.12, m=0.1), "E8")
+
+
+# finite entries without subnormals: the unfolding Jacobian's are central
+# differences of the ladder, and LAPACK's LU treats subnormal pivots its own way
+_ENTRIES = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(_ENTRIES, _ENTRIES, _ENTRIES, _ENTRIES)
+def test_plain_float_determinant_equals_numpy(a, b, c, d):
+    with np.errstate(all="ignore"):  # products may overflow to inf on both routes
+        expected = float(np.linalg.det(np.array([[a, b], [c, d]])))
+    got = bifurcations._det2(a, b, c, d)
+    assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
 class TestBTNormalForm:

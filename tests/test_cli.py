@@ -11,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from allee_lab.cli import main
+from allee_lab.cli import _linspace, main
 from allee_lab.normal_forms import taylor_at
 from allee_lab.reporting import dumps_canonical
 
@@ -142,12 +144,29 @@ class TestBT:
         (("--grid", "2", "--eta-box=0"), "--eta-box must be finite and > 0, got 0.0"),
         (("--grid", "2", "--eta-box", "nan"), "--eta-box must be finite and > 0, got nan"),
         (("--grid", "2", "--eta-box", "inf"), "--eta-box must be finite and > 0, got inf"),
+        # flags the chosen mode would ignore
+        (("--grid", "2", "--eta1", "1e-4"), "--eta1 cannot be combined with --grid"),
+        (("--grid", "2", "--eta2=-1e-4"), "--eta2 cannot be combined with --grid"),
+        (("--grid", "2", "--eta1", "0", "--eta2", "0"),
+         "--eta1 and --eta2 cannot be combined with --grid"),
+        (("--eta-box", "1e-3"), "--eta-box applies only with --grid"),
+        (("--eta-box", "1e-3", "--eta1", "5e-3"), "--eta-box applies only with --grid"),
     ])
     def test_off_cusp_base_exits_2(self, capsys, flag, named):
         assert main(["bt", "--q", "1", "--m", "0.1", *flag]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and named in err
+
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           st.integers(min_value=1, max_value=200))
+    def test_grid_values_equal_numpy_linspace(self, box, n):
+        # bt_grid5.json pins the grid's eta values, which np.linspace gave
+        with np.errstate(all="ignore"):  # 2 * box may overflow on both routes
+            expected = np.linspace(-box, box, n).tolist()
+        got = _linspace(-box, box, n)
+        assert list(map(repr, got)) == list(map(repr, expected))
 
     def test_inadmissible_cusp_exits_2(self):
         res = run_cli("bt", "--q", "1", "--m", "0.3")
@@ -339,30 +358,42 @@ class TestSweep:
                    for r in rows[1:])
 
 
-class TestNoCommandLoadsScipy:
-    def test_no_command_loads_scipy(self, tmp_path):
-        # a fresh interpreter: this one imported scipy with the tests
-        out = str(tmp_path / "out")
-        script = f"""
-import sys
+# prints whether numpy is loaded after the imports and after each command
+_LOADED_AFTER_EACH = """
+import json, sys
 import allee_lab as al, allee_lab.cli as cli
-for argv in (["analyze", "--q=1", "--s=1", "--h=0.12", "--m=0.1"],
-             ["hopf", "--q=1", "--h=0.12", "--m=0.1"],
-             ["bt", "--q=1", "--m=0.1"],
-             ["sweep", "--parameter=h", "--lo=0.2", "--hi=0.3", "--steps=11",
-              "--q=1", "--s=1", "--m=0.2"],
-             ["simulate", "--q=1", "--s=1", "--h=0.21", "--m=0.2", "--x0=0.71",
-              "--y0=0.01", "--tmax=5"]):
-    assert cli.main([*argv, "--out", {out!r}]) == 0, argv
-    assert "scipy" not in sys.modules, argv
+loaded = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    assert cli.main([*argv, "--out", sys.argv[2]]) == 0, argv
+    loaded.append("numpy" in sys.modules)
 p = al.ModelParams(q=1, s=1.0, h=0.12, m=0.1)
-assert not al.detect_cycle(p, al.State(0.3, 0.3)).found
+if loaded[-1]:  # the oracle loads numpy as well: run it after the array commands
+    assert not al.detect_cycle(p, al.State(0.3, 0.3)).found
+    assert al.classify_by_simulation(p, al.State(0.3, 0.3)) is al.SimVerdict.STABLE_FOCUS
 assert "scipy" not in sys.modules
-assert al.classify_by_simulation(p, al.State(0.3, 0.3)) is al.SimVerdict.STABLE_FOCUS
-assert "scipy" not in sys.modules
+print(json.dumps(loaded))
 """
-        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert res.returncode == 0, res.stderr
+
+
+class TestLazyImports:
+    def test_numpy_only_on_first_sweep_or_integration(self, tmp_path):
+        # fresh interpreters: this one imported numpy and scipy with the tests
+        runs = [
+            ([["analyze", "--q=1", "--s=1", "--h=0.12", "--m=0.1"],
+              ["hopf", "--q=1", "--h=0.12", "--m=0.1"],
+              ["bt", "--q=1", "--m=0.1"],
+              ["bt", "--q=1", "--m=0.1", "--grid=3"]], [False] * 5),
+            ([["sweep", "--parameter=h", "--lo=0.2", "--hi=0.3", "--steps=11",
+               "--q=1", "--s=1", "--m=0.2"]], [False, True]),
+            ([["simulate", "--q=1", "--s=1", "--h=0.21", "--m=0.2", "--x0=0.71",
+               "--y0=0.01", "--tmax=5"]], [False, True]),
+        ]
+        for commands, loaded in runs:
+            res = subprocess.run([sys.executable, "-c", _LOADED_AFTER_EACH,
+                                  json.dumps(commands), str(tmp_path / "out")],
+                                 capture_output=True, text=True)
+            assert res.returncode == 0, res.stderr
+            assert json.loads(res.stdout) == loaded, commands
 
 
 class TestHarvestDemo:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import allee_lab as al
+from allee_lab import equilibria
 from allee_lab.equilibria import DISCRIMINANT_RTOL
-from allee_lab.errors import HopfInadmissible, InconsistentInput
+from allee_lab.errors import AlleeLabError, HopfInadmissible, InconsistentInput
 from allee_lab.model import derivatives
 from helpers import random_params
 
@@ -188,6 +189,52 @@ class TestClassification:
                     assert np.abs(lam.real).max() <= 1e-9
                 else:  # saddle-node / cusp / degenerate: a zero eigenvalue
                     assert np.abs(lam).min() <= 1e-7
+
+
+def _eigvals_verdict(a, b, c, d, norm, cls) -> bool:
+    # the check's acceptance rule on np.linalg.eigvals' eigenvalues
+    lam = np.linalg.eigvals(np.array([[a, b], [c, d]]))
+    re = np.sort(lam.real)
+    tol = equilibria.EIGEN_SIGN_RTOL * max(norm, equilibria.NORM_FLOOR)
+    if cls is SC.SADDLE:
+        return re[0] < tol and re[1] > -tol and lam.imag[0] == 0
+    if cls in (SC.STABLE_NODE, SC.STABLE_FOCUS):
+        return re[1] < tol
+    if cls in (SC.UNSTABLE_NODE, SC.UNSTABLE_FOCUS):
+        return re[0] > -tol
+    if cls is SC.WEAK_CENTER:
+        return abs(re[0]) <= tol and abs(re[1]) <= tol and abs(lam[0].imag) > tol
+    return np.abs(lam).min() <= equilibria.EIGEN_ZERO_RTOL * max(norm, equilibria.NORM_FLOOR)
+
+
+class TestClosedFormEigenvalueCheck:
+    def test_accepts_and_rejects_what_eigvals_does(self, monkeypatch):
+        # every check full_portrait makes on log-uniform points, run both ways
+        check = equilibria._check_against_eigenvalues
+        verdicts = []
+
+        def both(*args):
+            try:
+                check(*args)
+                accepted = True
+            except InconsistentInput:
+                accepted = False
+            verdicts.append((accepted, bool(_eigvals_verdict(*args))))
+            if not accepted:
+                raise InconsistentInput("rejected")
+
+        monkeypatch.setattr(equilibria, "_check_against_eigenvalues", both)
+        rng = np.random.default_rng(1)
+        for _ in range(2000):
+            q, s = 10.0 ** rng.uniform(-6, 6, 2)
+            h, m = 10.0 ** rng.uniform(-6, 0), rng.uniform(0, 1)
+            try:
+                al.full_portrait(al.ModelParams(q=q, s=s, h=h, m=m))
+            except AlleeLabError:
+                pass
+        assert len(verdicts) > 7000
+        assert sum(not accepted for accepted, _ in verdicts) > 50
+        assert [v for v in verdicts if v[0] != v[1]] == []
 
 
 class TestEigenvalueSignPredictions:
