@@ -10,17 +10,18 @@ from allee_lab.reporting import SweepSpec, run_sweep, sweep_csv
 
 spec = SweepSpec(parameter="h", lo=0.2, hi=0.3, steps=21,
                  fixed={"q": 1.0, "s": 1.0, "m": 0.2})
-rows = run_sweep(spec)
+columns = run_sweep(spec)  # one list per CSV column, in grid order
 
 print(f"{'h':>8s} {'boundary':>9s} {'classes':>30s}")
-for row in rows:
-    classes = ", ".join(filter(None, (row["class_E1"], row["class_E2"], row["class_E3"])))
-    marker = "  <- fold" if row["on_h2"] == 1 else ""
-    print(f"{row['value']:8.3f} {row['n_prey_axis']:>9} {classes:>30s}{marker}")
+for h, n, e1, e2, e3, on_h2 in zip(columns["value"], columns["n_prey_axis"], columns["class_E1"],
+                                   columns["class_E2"], columns["class_E3"], columns["on_h2"]):
+    classes = ", ".join(filter(None, (e1, e2, e3)))
+    marker = "  <- fold" if on_h2 == 1 else ""
+    print(f"{h:8.3f} {n:>9} {classes:>30s}{marker}")
 
 out = "harvest_sweep.csv"
 with open(out, "w", encoding="utf-8", newline="\n") as fh:
-    fh.write(sweep_csv(rows))
+    fh.write(sweep_csv(columns))
 print(f"\nfull table written to {out}")
 
 print("\nprey-only runs above the fold all go extinct:")

@@ -187,10 +187,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             fixed[name] = getattr(args, name)
     spec = SweepSpec(parameter=args.parameter, lo=args.lo, hi=args.hi,
                      steps=args.steps, fixed=fixed)
-    rows = reporting.run_sweep(spec)
-    if all(row["skipped"] == 1 for row in rows):
+    columns = reporting.run_sweep(spec)
+    if all(skipped == 1 for skipped in columns["skipped"]):
         raise AlleeLabError("every grid point was skipped; check the fixed parameters")
-    _emit(args, reporting.sweep_csv(rows))
+    _emit(args, reporting.sweep_csv(columns))
     return 0
 
 

@@ -20,8 +20,9 @@ tolerance of the closed forms is named in the table below.
 
 `portrait_batch` computes the same quantities for many parameter points at
 once as numpy arrays, and marks the points it cannot decide as exactly as
-the scalar path (folds, merges, tolerance-band edges) for that path.  It is
-the only function here that imports numpy; the scalar path runs on floats.
+the scalar path (folds, merges, tolerance-band edges) for that path.  It
+and its eigenvalue check are the only functions here that import numpy;
+the scalar path runs on floats.
 """
 from __future__ import annotations
 
@@ -387,17 +388,25 @@ def _classify(p: ModelParams, u: State, label: str,
     return lin, result
 
 
+def _eigen_closed_form(a, b, c, d, k):
+    """(mid, rad) with the eigenvalues of [[a, b], [c, d]] / k equal to
+    mid +- sqrt(rad): (a+d)/2 +- sqrt(((a-d)/2)^2 + b*c).
+
+    The independent route of the eigenvalue cross-check, which reads
+    neither the bands nor tr^2 - 4 det; k is the Jacobian's norm (1 for a
+    zero Jacobian), so the squares stay finite.  Arithmetic only, so floats
+    and arrays give the same values.
+    """
+    a, b, c, d = a / k, b / k, c / k, d / k
+    half = 0.5 * (a - d)
+    return 0.5 * (a + d), half * half + b * c
+
+
 def _check_against_eigenvalues(a: float, b: float, c: float, d: float, norm: float,
                                cls: StabilityClass) -> None:
-    # independent route: the eigenvalues of [[a, b], [c, d]] in closed form,
-    # (a+d)/2 +- sqrt(((a-d)/2)^2 + b*c), which reads neither the bands nor
-    # tr^2 - 4 det; computed on J/norm, so the squares stay finite, then
-    # scaled back
     k = norm if norm > 0 else 1.0
-    a, b, c, d = a / k, b / k, c / k, d / k
-    mid = 0.5 * (a + d)
-    half = 0.5 * (a - d)
-    r = cmath.sqrt(complex(half * half + b * c, 0.0))
+    mid, rad = _eigen_closed_form(a, b, c, d, k)
+    r = cmath.sqrt(complex(rad, 0.0))
     lam = (k * (mid + r), k * (mid - r))
     re = sorted(z.real for z in lam)
     tol = EIGEN_SIGN_RTOL * max(norm, NORM_FLOOR)
@@ -489,7 +498,9 @@ class PortraitBatch:
     bit, what full_portrait, discriminants and thresholds give for the point.
     All other rows are left to the scalar path: invalid or non-finite
     parameters, points in or near a fold, merge or classification band, and
-    points where the eigenvalue cross-check disagrees.
+    points where the eigenvalue cross-check disagrees.  That check is the
+    scalar path's closed form on J/norm, with its band narrowed by
+    BATCH_MARGIN.
     """
 
     generic: np.ndarray  # bool (N,)
@@ -498,6 +509,24 @@ class PortraitBatch:
     delta1: np.ndarray
     delta2: np.ndarray
     thresholds: dict[str, np.ndarray]  # h1, h2, h3, s1, s2, s3; NaN where absent
+
+
+def _eigen_signs_agree(a, b, c, d, norm, saddle, stable):
+    """Whether the closed-form eigenvalues of the Jacobians [[a, b], [c, d]]
+    (arrays) confirm their generic class, the scalar cross-check with its
+    band divided by BATCH_MARGIN: a saddle has real eigenvalues of
+    opposite sign, a stable point none with positive real part, an
+    unstable point none with negative real part."""
+    import numpy as np
+
+    k = np.where(norm > 0, norm, 1.0)
+    mid, rad = _eigen_closed_form(a, b, c, d, k)
+    real = rad >= 0
+    root = np.sqrt(np.where(real, rad, 0.0))  # the real parts are k*mid when rad < 0
+    lo, hi = k * (mid - root), k * (mid + root)
+    tol = EIGEN_SIGN_RTOL / BATCH_MARGIN * np.maximum(norm, NORM_FLOOR)
+    return np.where(saddle, (lo < tol) & (hi > -tol) & real,
+                    np.where(stable, hi < tol, lo > -tol))
 
 
 def portrait_batch(q, s, h, m) -> PortraitBatch:
@@ -554,17 +583,10 @@ def portrait_batch(q, s, h, m) -> PortraitBatch:
         near |= np.abs(disc) <= band * np.maximum(norm * norm, NORM_FLOOR)
         undecided |= (present & near).any(axis=1)
 
-        # the independent eigenvalue route, one stacked call, tightened band
+        # the eigenvalue cross-check of classify(), with a tightened band
         check = present & ~undecided[:, None]
-        J = np.stack([a10[check], a01[check], b10[check], b01[check]], axis=1)
-        lam = np.linalg.eigvals(J.reshape(-1, 2, 2))
-        re = np.sort(lam.real, axis=1)
-        tol = EIGEN_SIGN_RTOL / BATCH_MARGIN * np.maximum(norm[check], NORM_FLOOR)
-        agrees = np.where(
-            saddle[check],
-            (re[:, 0] < tol) & (re[:, 1] > -tol) & (lam.imag[:, 0] == 0),
-            np.where(stable[check], re[:, 1] < tol, re[:, 0] > -tol),
-        )
+        agrees = _eigen_signs_agree(a10[check], a01[check], b10[check], b01[check],
+                                    norm[check], saddle[check], stable[check])
         disagrees = np.zeros_like(present)
         disagrees[check] = ~agrees
         undecided |= disagrees.any(axis=1)

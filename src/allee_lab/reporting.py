@@ -8,7 +8,6 @@ floats.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 
@@ -215,11 +214,37 @@ def bt_report_dict(p: ModelParams, rep: BTReport) -> dict:
     }
 
 
+class _Texts(dict):
+    """Cell -> text; a cell it lacks, a zero, is formatted at each lookup."""
+
+    def __missing__(self, cell) -> str:
+        return str(cell)
+
+
+def _column_text(column: list) -> list[str]:
+    # str() of each cell, a float's being its shortest round-trip repr.
+    # That repr is the costly part, so a float column that repeats its
+    # values (a threshold fixed over the sweep) formats each distinct value
+    # once.  Equal cells must print alike: zeros are never memoised, since
+    # 0.0 == -0.0, and a column holding anything but floats and strs is
+    # never memoised, since 1 == 1.0
+    if column and type(column[0]) is float and set(map(type, column)) <= {float, str}:
+        distinct = dict.fromkeys(column)
+        if 2 * len(distinct) <= len(column):
+            texts = _Texts((cell, str(cell)) for cell in distinct if cell != 0)
+            return list(map(texts.__getitem__, column))
+    return list(map(str, column))
+
+
+def _csv(header, columns) -> str:
+    """CSV text of equal-length columns under `header`, one row per index:
+    each column is turned into text once, and the rows are joined."""
+    rows = map(",".join, zip(*map(_column_text, columns)))
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
 def trajectory_csv(traj: Trajectory) -> str:
-    lines = ["t,x,y"]
-    for t, x, y in zip(traj.t.tolist(), traj.x.tolist(), traj.y.tolist()):
-        lines.append(f"{t!r},{x!r},{y!r}")
-    return "\n".join(lines) + "\n"
+    return _csv(("t", "x", "y"), (traj.t.tolist(), traj.x.tolist(), traj.y.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +325,14 @@ def _sweep_row(spec: SweepSpec, value: float) -> dict:
     return row
 
 
-def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate the grid in one array pass; rows come back in grid order.
+def run_sweep(spec: SweepSpec) -> dict[str, list]:
+    """Evaluate the grid in one array pass: one list per SWEEP_COLUMNS
+    name, in grid order.
 
-    Rows the array pass leaves undecided (invalid or degenerate points and
-    points near a tolerance band) are evaluated by the scalar `_sweep_row`,
-    which every array-built row equals.
+    Points the array pass leaves undecided (invalid or degenerate points
+    and points near a tolerance band) are evaluated by the scalar
+    `_sweep_row`, whose cells are written into the columns at their index;
+    every array-built cell equals the scalar one.
     """
     import numpy as np
 
@@ -332,16 +359,12 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         columns[name] = ["" if v != v else v for v in t[name].tolist()]  # NaN: absent
         on = _on_surface(params[name[0]], t[name], np.maximum)
         columns[f"on_{name}"] = on.astype(int).tolist()
-    rows = [dict(zip(SWEEP_COLUMNS, cells)) for cells in zip(*(columns[c] for c in SWEEP_COLUMNS))]
-    for i in np.flatnonzero(~batch.generic):
-        rows[i] = _sweep_row(spec, grid[i])
-    return rows
+    for i in np.flatnonzero(~batch.generic).tolist():
+        for name, cell in _sweep_row(spec, grid[i]).items():
+            columns[name][i] = cell
+    return {name: columns[name] for name in SWEEP_COLUMNS}
 
 
-def sweep_csv(rows: list[dict]) -> str:
-    # str() of a float, numpy's included, is its shortest round-trip repr
-    cells = operator.itemgetter(*SWEEP_COLUMNS)
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(map(str, cells(row))))
-    return "\n".join(lines) + "\n"
+def sweep_csv(columns: dict[str, list]) -> str:
+    """The sweep table of `run_sweep`'s columns, in SWEEP_COLUMNS order."""
+    return _csv(SWEEP_COLUMNS, [columns[name] for name in SWEEP_COLUMNS])

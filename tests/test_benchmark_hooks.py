@@ -3,7 +3,9 @@ run wraps every (module, function) in `tracing.TRACED`, and the worker
 records `reporting.sweep_parallelism()`.  A rename or deletion in
 `allee_lab` breaks those runs without failing any other test, and so does a
 lazy import: the traced CLI installs its tracer after `import allee_lab.cli`
-alone and reads each traced module from `sys.modules`."""
+alone and reads each traced module from `sys.modules`.  A wrapped function
+records nothing when its caller binds it elsewhere, so the sweep must reach
+its traced layers through the `reporting` module."""
 from __future__ import annotations
 
 import importlib
@@ -47,3 +49,21 @@ def test_worker_hook_exists():
     from allee_lab import reporting
 
     assert callable(reporting.sweep_parallelism)
+
+
+def test_sweep_calls_the_traced_reporting_layers(monkeypatch, tmp_path):
+    from allee_lab import cli, reporting
+
+    calls = []
+    for name in ("run_sweep", "sweep_csv"):
+        def wrapper(*args, _name=name, _inner=getattr(reporting, name)):
+            calls.append(_name)
+            return _inner(*args)
+
+        monkeypatch.setattr(reporting, name, wrapper)
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", "--parameter", "h", "--lo", "0.2", "--hi", "0.3", "--steps", "11",
+                   "--q", "1", "--s", "1", "--m", "0.2", "--out", str(out)])
+    assert rc == 0
+    assert calls == ["run_sweep", "sweep_csv"]
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 12

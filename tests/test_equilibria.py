@@ -237,6 +237,59 @@ class TestClosedFormEigenvalueCheck:
         assert [v for v in verdicts if v[0] != v[1]] == []
 
 
+def _eigvals_signs_agree(a, b, c, d, norm, saddle, stable):
+    # the batch check's acceptance rule on np.linalg.eigvals' eigenvalues
+    lam = np.linalg.eigvals(np.stack([a, b, c, d], axis=1).reshape(-1, 2, 2))
+    re = np.sort(lam.real, axis=1)
+    tol = equilibria.EIGEN_SIGN_RTOL / equilibria.BATCH_MARGIN * np.maximum(
+        norm, equilibria.NORM_FLOOR)
+    return np.where(saddle, (re[:, 0] < tol) & (re[:, 1] > -tol) & (lam.imag[:, 0] == 0),
+                    np.where(stable, re[:, 1] < tol, re[:, 0] > -tol))
+
+
+class TestBatchEigenvalueCheck:
+    @pytest.mark.parametrize("decades", [3, 12])
+    def test_closed_form_verdicts_equal_eigvals(self, monkeypatch, decades):
+        # seeded log-uniform points over 10^-decades .. 10^decades; the batch
+        # run once as it is and once with numpy's eigenvalues
+        rng = np.random.default_rng(decades)
+        n = 20_000
+        q, s, h = 10.0 ** rng.uniform(-decades, decades, (3, n))
+        m = 10.0 ** rng.uniform(-decades, 0, n)
+        closed_form = equilibria._eigen_signs_agree
+        closed = equilibria.portrait_batch(q, s, h, m)
+        checks = []
+
+        def eigvals_route(*args):
+            checks.append(args)
+            return _eigvals_signs_agree(*args)
+
+        monkeypatch.setattr(equilibria, "_eigen_signs_agree", eigvals_route)
+        reference = equilibria.portrait_batch(q, s, h, m)
+        assert np.array_equal(closed.generic, reference.generic)
+        assert closed.generic.sum() > n // 4
+
+        # the same Jacobians, with a centre, a weak focus, a nilpotent and a
+        # zero Jacobian appended, under every claim the batch can make: the
+        # true one, and all saddle, all stable, all unstable
+        (a, b, c, d, norm, saddle, stable), = checks
+        assert a.size > n // 2
+        edge = np.array([[0.0, 1.0, -1.0, 0.0], [1e-12, 1.0, -1.0, 0.0],
+                         [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        a, b, c, d = (np.concatenate([v, e]) for v, e in zip((a, b, c, d), edge.T))
+        norm = np.concatenate([norm, np.sqrt((edge * edge).sum(axis=1))])
+        saddle, stable = np.pad(saddle, (0, 4)), np.pad(stable, (0, 4))
+        everywhere, nowhere = np.ones_like(saddle), np.zeros_like(saddle)
+        rejected = 0
+        for claim in ((saddle, stable), (everywhere, nowhere), (nowhere, everywhere),
+                      (nowhere, nowhere)):
+            got = closed_form(a, b, c, d, norm, *claim)
+            want = _eigvals_signs_agree(a, b, c, d, norm, *claim)
+            assert np.array_equal(got, want)
+            rejected += int((~want).sum())
+        assert rejected > a.size
+
+
 class TestEigenvalueSignPredictions:
     def test_allee_line_eigenvalue_signs(self):
         """lambda2 = s*m*(1 - m/x) at y = m equilibria: sign decided by the

@@ -1,4 +1,5 @@
-"""The canonical JSON writer against the json module, and the trajectory CSV."""
+"""The canonical JSON writer against the json module, and the CSV writer
+against a row-wise reference."""
 from __future__ import annotations
 
 import json
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from allee_lab.dynamics import IntegratorConfig, integrate
 from allee_lab.model import ModelParams, State
-from allee_lab.reporting import dumps_canonical, trajectory_csv
+from allee_lab.reporting import SWEEP_COLUMNS, dumps_canonical, sweep_csv, trajectory_csv
 
 
 def reference(obj) -> str:
@@ -126,3 +127,47 @@ def test_trajectory_csv_rows_equal_the_scalar_formula(seed):
                          for t, x, y in zip(traj.t, traj.x, traj.y)]
     assert len(lines) > 10
     assert trajectory_csv(traj) == "\n".join(lines) + "\n"
+
+
+def reference_csv(columns: dict[str, list]) -> str:
+    rows = zip(*(columns[name] for name in SWEEP_COLUMNS))
+    return "\n".join([",".join(SWEEP_COLUMNS), *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
+cells = st.one_of(
+    floats,
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 0, 1, 1.0, True, "", "StableNode", np.float64(-0.0),
+                     np.float64(1.0), 5e-324, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def sweep_tables(draw) -> dict[str, list]:
+    # up to three distinct columns, repeated over the table's width; each
+    # draws its rows from a pool of a few cells, so that values repeat and
+    # the formatter's memo is used
+    n = draw(st.integers(min_value=1, max_value=8))
+    distinct = [draw(st.lists(st.sampled_from(draw(st.lists(cells, min_size=1, max_size=3))),
+                              min_size=n, max_size=n))
+                for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    return {name: distinct[i % len(distinct)] for i, name in enumerate(SWEEP_COLUMNS)}
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(sweep_tables())
+def test_sweep_csv_equals_the_row_wise_writer(columns):
+    assert sweep_csv(columns) == reference_csv(columns)
+
+
+def test_sweep_csv_keeps_each_zero_and_number_type():
+    columns = {name: [""] * 4 for name in SWEEP_COLUMNS}
+    columns["delta1"] = [0.0, -0.0, 0.0, -0.0]
+    columns["delta2"] = [-0.0, 0.0, -0.0, 0.0]
+    columns["h1"] = [1.0, 1, 1.0, 1.0]
+    columns["h2"] = [2.5, 2.5, np.float64(2.5), 2.5]
+    text = sweep_csv(columns)
+    assert text == reference_csv(columns)
+    assert [line.split(",")[13:17] for line in text.splitlines()[1:]] == [
+        ["0.0", "-0.0", "1.0", "2.5"], ["-0.0", "0.0", "1", "2.5"],
+        ["0.0", "-0.0", "1.0", "2.5"], ["-0.0", "0.0", "1.0", "2.5"]]

@@ -1,9 +1,9 @@
 """Differential test: the array sweep against the scalar reference.
 
-`run_sweep` evaluates a grid with `equilibria.portrait_batch` and sends the
-rows it leaves undecided through `_sweep_row`, the scalar path that builds
-one `full_portrait` per point.  Every row must equal the scalar row, on
-seeded random grids and on grids with points tight on the folds h1, h2, h3
+`run_sweep` evaluates a grid with `equilibria.portrait_batch` into one list
+per column and sends the points it leaves undecided through `_sweep_row`,
+the scalar path that builds one `full_portrait` per point.  Every cell must
+equal the scalar row's, on seeded random grids and on grids with points tight on the folds h1, h2, h3
 and the Allee-line fold, the cusp s1, the Hopf surfaces s2 and s3, and
 harvests down to 1e-300.
 """
@@ -15,7 +15,7 @@ import pytest
 from allee_lab import equilibria as eq
 from allee_lab import reporting
 from allee_lab.model import ModelParams
-from allee_lab.reporting import SweepSpec, _sweep_row, run_sweep, sweep_csv
+from allee_lab.reporting import SWEEP_COLUMNS, SweepSpec, _sweep_row, run_sweep, sweep_csv
 
 STEPS = 125
 
@@ -63,6 +63,10 @@ TINY_HARVESTS = [
 ]
 
 
+def _transposed(rows: list[dict]) -> dict[str, list]:
+    return {name: [row[name] for row in rows] for name in SWEEP_COLUMNS}
+
+
 @pytest.fixture
 def fallbacks(monkeypatch) -> list[float]:
     """Grid values that `run_sweep` sent through the scalar path."""
@@ -80,10 +84,11 @@ def test_batch_rows_equal_scalar_rows(fallbacks):
     points, off_fold, off_fold_fallbacks = 0, 0, 0
     for spec in _specs(20261018) + TINY_HARVESTS:
         before = len(fallbacks)
-        scalar = [_sweep_row(spec, v) for v in spec.grid()]
-        rows = run_sweep(spec)
-        assert rows == scalar, spec
-        assert sweep_csv(rows) == sweep_csv(scalar), spec
+        scalar = _transposed([_sweep_row(spec, v) for v in spec.grid()])
+        columns = run_sweep(spec)
+        assert list(columns) == list(SWEEP_COLUMNS), spec
+        assert columns == scalar, spec
+        assert sweep_csv(columns) == sweep_csv(scalar), spec
         points += spec.steps
         if spec.fixed.get("h") != 1.0 / (4.0 * (spec.fixed.get("q", 0.0) + 1.0)):
             off_fold += spec.steps
@@ -97,9 +102,7 @@ def test_batch_rows_equal_scalar_rows(fallbacks):
 
 def test_degenerate_rows_take_the_scalar_path(fallbacks):
     spec = SweepSpec("h", 0.2, 0.3, 101, {"q": 1.0, "s": 1.0, "m": 0.2})
-    rows = run_sweep(spec)
-    fold = rows[50]
-    assert fold["class_E1"] == "SaddleNode" and fold["on_h2"] == 1
-    assert fold["value"] in fallbacks
+    columns = run_sweep(spec)
+    assert columns["class_E1"][50] == "SaddleNode" and columns["on_h2"][50] == 1
     # (0.6, 0) at h = 0.24 sits on the node/focus boundary
-    assert fallbacks == [spec.grid()[40], fold["value"]]
+    assert fallbacks == [spec.grid()[40], columns["value"][50]]
