@@ -3,9 +3,9 @@
 `run_sweep` evaluates a grid with `equilibria.portrait_batch` into one list
 per column and sends the points it leaves undecided through `_sweep_row`,
 the scalar path that builds one `full_portrait` per point.  Every cell must
-equal the scalar row's, on seeded random grids and on grids with points tight on the folds h1, h2, h3
-and the Allee-line fold, the cusp s1, the Hopf surfaces s2 and s3, and
-harvests down to 1e-300.
+equal the scalar row's, on seeded random grids and on grids with points
+tight on the folds h1, h2, h3 and the Allee-line fold, the cusp s1, the Hopf
+surfaces s2 and s3, and harvests down to 1e-300.
 """
 from __future__ import annotations
 
