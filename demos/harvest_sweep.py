@@ -5,7 +5,7 @@ saddle); they collide at h = 1/4 and vanish above it, taking the prey
 population with them: with y = 0 and h > 1/4 every trajectory hits the
 extinction floor.  The same CSV is what `allee-lab sweep` emits.
 """
-from allee_lab import IntegratorConfig, ModelParams, State, TerminalReason, integrate
+from allee_lab import ModelParams, State, TerminalReason, integrate
 from allee_lab.reporting import SweepSpec, run_sweep, sweep_csv
 
 spec = SweepSpec(parameter="h", lo=0.2, hi=0.3, steps=21,
@@ -27,6 +27,6 @@ print(f"\nfull table written to {out}")
 print("\nprey-only runs above the fold all go extinct:")
 p = ModelParams(q=1.0, s=1.0, h=0.26, m=0.2)
 for x0 in (0.3, 0.5, 0.8):
-    traj = integrate(p, State(x0, 0.0), IntegratorConfig(t_max=500.0))
+    traj = integrate(p, State(x0, 0.0), t_max=500.0)
     assert traj.terminal is TerminalReason.HIT_DOMAIN_FLOOR
     print(f"  x0={x0:g}: extinct at t={traj.t[-1]:.1f}")

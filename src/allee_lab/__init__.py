@@ -47,7 +47,6 @@ from .bifurcations import (
     cusp_base_params,
 )
 from .dynamics import (
-    IntegratorConfig,
     Trajectory,
     TerminalReason,
     CycleDetection,
@@ -73,8 +72,7 @@ __all__ = [
     "BTReport", "BTVerdict", "sotomayor_saddle_node", "hopf_critical_s",
     "first_lyapunov_coefficient", "lyapunov_number", "bt_normal_form",
     "cusp_base_params",
-    "IntegratorConfig", "Trajectory", "TerminalReason", "CycleDetection",
-    "CycleStability", "SimVerdict", "integrate", "detect_cycle",
-    "classify_by_simulation",
+    "Trajectory", "TerminalReason", "CycleDetection", "CycleStability",
+    "SimVerdict", "integrate", "detect_cycle", "classify_by_simulation",
     "errors",
 ]

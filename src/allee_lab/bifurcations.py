@@ -191,6 +191,11 @@ def _lyapunov_terms(a: float, b: float, c: float, t: TaylorCoefficients) -> tupl
     )
 
 
+def _sigma(b: float, delta: float, terms: tuple[float, ...]) -> float:
+    # summed left to right, as the closed form is written
+    return -3.0 * math.pi / (2.0 * b * delta**1.5) * functools.reduce(operator.add, terms)
+
+
 def lyapunov_number(a: float, b: float, c: float, d: float, t: TaylorCoefficients) -> float:
     """First Lyapunov number of a planar weak center, full closed form.
 
@@ -201,9 +206,7 @@ def lyapunov_number(a: float, b: float, c: float, d: float, t: TaylorCoefficient
     delta = a * d - b * c
     if not (delta > 0 and abs(a + d) <= WEAK_CENTER_RTOL * max(1.0, abs(a), abs(d))):
         raise NotAWeakCenter(f"need a + d = 0 and Delta > 0, got trace={a + d}, Delta={delta}")
-    # summed left to right, as the closed form is written
-    total = functools.reduce(operator.add, _lyapunov_terms(a, b, c, t))
-    return -3.0 * math.pi / (2.0 * b * delta**1.5) * total
+    return _sigma(b, delta, _lyapunov_terms(a, b, c, t))
 
 
 def phi_terms(t: TaylorCoefficients) -> tuple[float, ...]:
@@ -234,7 +237,7 @@ def first_lyapunov_coefficient(p: ModelParams, which: str = "E8") -> HopfReport:
         raise NotAWeakCenter(f"det {M:.3e} not positive: equilibrium is not a center candidate")
 
     phi = phi_terms(t)
-    sigma = lyapunov_number(a, b, c, d, t)
+    sigma = _sigma(b, M, phi)
     phi_scale = sum(abs(v) for v in phi)
     if phi_scale == 0.0 or abs(sum(phi)) <= PHI_RTOL * phi_scale:
         direction = HopfDirection.UNDETERMINED

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import reporting
 from .bifurcations import (_check_cusp_base, bt_normal_form, cusp_base_params,
                            first_lyapunov_coefficient, hopf_critical_s)
-from .dynamics import IntegratorConfig, integrate
+from .dynamics import integrate
 from .errors import AlleeLabError
 from .model import ModelParams, State
 from .reporting import SweepSpec, dumps_canonical
@@ -171,8 +171,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _check_format(args, "csv")
     p = _params(args)
     _require(args, "x0", "y0")
-    cfg = IntegratorConfig(t_max=args.tmax if args.tmax is not None else 200.0)
-    traj = integrate(p, State(args.x0, args.y0), cfg)
+    traj = integrate(p, State(args.x0, args.y0),
+                     t_max=args.tmax if args.tmax is not None else 200.0)
     _emit(args, reporting.trajectory_csv(traj))
     return 0
 

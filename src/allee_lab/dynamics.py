@@ -14,6 +14,10 @@ RK45 solver contract.  The predator equation is singular at x = 0, so every
 run carries a terminal "domain floor" event instead of ever evaluating 1/x
 at rounding-scale prey densities.  A run may take `MAX_STEPS` accepted
 steps; reversed flows are the same field integrated backward in time.
+The accuracy settings are fixed module constants: `integrate` runs at
+`RTOL`/`ATOL` with no step cap, a cycle hunt at the tighter `HUNT_RTOL`/
+`HUNT_ATOL` with steps of at most `HUNT_MAX_STEP`; callers choose only the
+horizon `t_max` (and a hunt's start offset).
 numpy is imported inside the functions that build arrays, so the closed-form
 commands, which import this module, never load it.
 """
@@ -22,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -30,7 +34,6 @@ from .errors import DomainViolation, NoCrossings, StepBudgetExceeded
 from .model import ModelParams, State, _field
 
 __all__ = [
-    "IntegratorConfig",
     "TerminalReason",
     "Trajectory",
     "CycleStability",
@@ -49,6 +52,9 @@ X_FLOOR = 1e-8  # prey density at which every run stops (the domain floor)
 CAPTURE_FRACTION = 0.8  # cycle hunts stay within this share of the center's x
 PROBE_RADIUS = 1e-4  # distance of classify_by_simulation's probes from the point
 MAX_STEPS = 200_000  # accepted steps one solve_ivp run may take
+RTOL, ATOL = 1e-8, 1e-10  # integrate's tolerances; its steps are uncapped
+# a cycle hunt's tolerances and step cap: its return map needs the tighter ones
+HUNT_RTOL, HUNT_ATOL, HUNT_MAX_STEP = 1e-10, 1e-12, 1.0
 
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Sec. II.5) with Shampine's
@@ -296,21 +302,6 @@ def solve_ivp(fun, t_span, y0, *, t_eval=None, events=None,
         y_events=[np.array(ye) for ye in y_events] if has_events else None)
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    max_step: float = math.inf
-    t_max: float = 200.0
-
-    def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "max_step", "t_max"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.t_max == math.inf:
-            raise ValueError("t_max must be finite")
-
-
 class TerminalReason(enum.Enum):
     HORIZON_REACHED = "HorizonReached"
     CONVERGED_TO_POINT = "ConvergedToPoint"
@@ -324,13 +315,6 @@ class Trajectory:
     x: np.ndarray
     y: np.ndarray
     terminal: TerminalReason
-
-    @property
-    def samples(self) -> np.ndarray:
-        """(n, 3) array of rows (t, x, y)."""
-        import numpy as np
-
-        return np.column_stack([self.t, self.x, self.y])
 
 
 def _rhs(p: ModelParams):
@@ -366,21 +350,29 @@ def _divergence_event():
     return _ball_event(State(0.0, 0.0), DIVERGENCE_BOUND, 1.0)
 
 
-def integrate(p: ModelParams, u0: State, cfg: IntegratorConfig | None = None) -> Trajectory:
-    """Integrate from u0 until the horizon, the domain floor, or divergence.
-
-    The terminal tag distinguishes four outcomes: the horizon was reached
-    while still moving, the orbit settled onto a point (speed and recent
-    displacement both negligible), the prey density hit the configured
-    floor `X_FLOOR`, or the solution blew up / the stepper failed.
-    """
-    cfg = cfg or IntegratorConfig()
+def _check_run(u0: State, t_max: float) -> None:
+    """Reject a horizon that is not positive and finite, and a start off the domain."""
+    if not t_max > 0:
+        raise ValueError("t_max must be positive")
+    if t_max == math.inf:
+        raise ValueError("t_max must be finite")
     if not (u0.x > X_FLOOR and math.isfinite(u0.x) and math.isfinite(u0.y)):
         raise ValueError(f"initial state ({u0.x}, {u0.y}) not admissible (x must exceed the floor)")
     if u0.y < 0:
         raise DomainViolation(f"predator density must be non-negative, got y = {u0.y}")
-    sol = solve_ivp(_rhs(p), (0.0, cfg.t_max), (u0.x, u0.y), rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    max_step=cfg.max_step, events=[_floor_event(), _divergence_event()])
+
+
+def integrate(p: ModelParams, u0: State, *, t_max: float = 200.0) -> Trajectory:
+    """Integrate from u0 until the horizon t_max, the domain floor, or divergence.
+
+    The terminal tag distinguishes four outcomes: the horizon was reached
+    while still moving, the orbit settled onto a point (speed and recent
+    displacement both negligible), the prey density hit the floor
+    `X_FLOOR`, or the solution blew up / the stepper failed.
+    """
+    _check_run(u0, t_max)
+    sol = solve_ivp(_rhs(p), (0.0, t_max), (u0.x, u0.y), rtol=RTOL, atol=ATOL,
+                    events=[_floor_event(), _divergence_event()])
     t, xs, ys = sol.t, sol.y[0], sol.y[1]
     if sol.status == 1:
         terminal = (
@@ -391,7 +383,7 @@ def integrate(p: ModelParams, u0: State, cfg: IntegratorConfig | None = None) ->
     else:
         terminal = TerminalReason.HORIZON_REACHED
         speed = math.hypot(*_field(p.q, p.s, p.h, p.m, xs[-1], ys[-1]))
-        tail = t >= t[-1] - 0.1 * cfg.t_max
+        tail = t >= t[-1] - 0.1 * t_max
         drift = math.hypot(
             float(xs[tail].max() - xs[tail].min()), float(ys[tail].max() - ys[tail].min())
         )
@@ -413,10 +405,9 @@ class CycleDetection:
     amplitude: float | None
     section_crossings: list[float]
     stability: CycleStability
-    forward_terminal: TerminalReason | None = None
 
 
-def _section_crossings(p: ModelParams, center: State, start: State, cfg: IntegratorConfig,
+def _section_crossings(p: ModelParams, center: State, start: State, t_max: float,
                        reverse: bool) -> tuple[np.ndarray, np.ndarray]:
     """Times and x-locations of oriented crossings of {y = yc, x > xc}.
 
@@ -440,17 +431,17 @@ def _section_crossings(p: ModelParams, center: State, start: State, cfg: Integra
 
     times: list[float] = []
     locs: list[float] = []
-    window = max(cfg.t_max / 8.0, 100.0)
+    window = max(t_max / 8.0, 100.0)
     t0 = 0.0
     u = (start.x, start.y)
-    while t0 < cfg.t_max:
+    while t0 < t_max:
         sol = solve_ivp(
             rhs,
-            (sign * t0, sign * min(t0 + window, cfg.t_max)),
+            (sign * t0, sign * min(t0 + window, t_max)),
             u,
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
-            max_step=cfg.max_step,
+            rtol=HUNT_RTOL,
+            atol=HUNT_ATOL,
+            max_step=HUNT_MAX_STEP,
             events=events,
         )
         te, ue = sol.t_events[0], sol.y_events[0]
@@ -465,7 +456,7 @@ def _section_crossings(p: ModelParams, center: State, start: State, cfg: Integra
         t0 = sign * float(sol.t[-1])
         u = (float(sol.y[0, -1]), float(sol.y[1, -1]))
         radii = np.asarray(locs) - center.x
-        if _analyze_returns(radii, cfg.abs_tol)[0]:
+        if _returns_converge(radii):
             break
         if len(radii) >= 12:
             tail = radii[-12:]
@@ -479,8 +470,8 @@ def _section_crossings(p: ModelParams, center: State, start: State, cfg: Integra
     return np.asarray(times), np.asarray(locs)
 
 
-def _analyze_returns(radii: np.ndarray, abs_tol: float) -> tuple[bool, float | None]:
-    """Attracting fixed radius of the return map, if the returns converge.
+def _returns_converge(radii: np.ndarray) -> bool:
+    """Whether the return map's radii settle onto an attracting fixed radius.
 
     Requires three successive return gaps below 1e-7 plus a certificate
     that the radius itself is settling at a positive value: either the
@@ -494,27 +485,25 @@ def _analyze_returns(radii: np.ndarray, abs_tol: float) -> tuple[bool, float | N
     import numpy as np
 
     if len(radii) < 5:
-        return False, None
+        return False
     deltas = np.diff(radii)
     gaps = np.abs(deltas)
     if not bool((gaps[-3:] < 1e-7).all()):
-        return False, None
+        return False
     r_last = float(radii[-1])
-    if r_last <= 10.0 * abs_tol:
-        return False, None
+    if r_last <= 10.0 * HUNT_ATOL:
+        return False
     if gaps[-1] <= 1e-4 * r_last:
-        return True, r_last
+        return True
     if gaps[-2] > 0:
         ratio = gaps[-1] / gaps[-2]
         if ratio < 0.99:
             limit = float(r_last + deltas[-1] * ratio / (1.0 - ratio))
-            if limit > 10.0 * abs_tol and limit > 0.5 * r_last:
-                return True, limit
-    return False, None
+            return limit > 10.0 * HUNT_ATOL and limit > 0.5 * r_last
+    return False
 
 
-def _one_period(p: ModelParams, center: State, x_start: float, t_end: float,
-                cfg: IntegratorConfig) -> float:
+def _one_period(p: ModelParams, center: State, x_start: float, t_end: float) -> float:
     # t_end is minus the period for a reversed flow
     import numpy as np
 
@@ -523,14 +512,14 @@ def _one_period(p: ModelParams, center: State, x_start: float, t_end: float,
         _rhs(p),
         (0.0, t_end),
         (x_start, center.y),
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
+        rtol=HUNT_RTOL,
+        atol=HUNT_ATOL,
         t_eval=tt,
     )
     return float(np.hypot(sol.y[0] - center.x, sol.y[1] - center.y).max())
 
 
-def detect_cycle(p: ModelParams, center: State, cfg: IntegratorConfig | None = None,
+def detect_cycle(p: ModelParams, center: State, *, t_max: float = 6000.0,
                  start_radius: float = 1e-2) -> CycleDetection:
     """Look for a limit cycle around a focus-type equilibrium.
 
@@ -545,29 +534,27 @@ def detect_cycle(p: ModelParams, center: State, cfg: IntegratorConfig | None = N
     The hunt starts `start_radius` to the right of the center and stays
     local: an orbit that leaves the ball of radius `CAPTURE_FRACTION` times
     the center's distance to the singular axis x = 0, or reaches the
-    domain floor, ends its half of the search.
+    domain floor, ends its half of the search.  Each half runs for at most
+    `t_max`, at the hunt's fixed accuracy `HUNT_RTOL`, `HUNT_ATOL` and
+    `HUNT_MAX_STEP`.  The start must lie in the domain, as for `integrate`.
     """
-    cfg = cfg or IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_max=6000.0, max_step=1.0)
     start = State(center.x + start_radius, center.y)
-
-    fwd = integrate(p, start, replace(cfg, t_max=min(cfg.t_max, 400.0)))
+    _check_run(start, t_max)
     any_crossings = False
     forward_crossings: list[float] = []
     for reverse, stability in ((False, CycleStability.ATTRACTING),
                                (True, CycleStability.REPELLING)):
-        te, xe = _section_crossings(p, center, start, cfg, reverse)
+        te, xe = _section_crossings(p, center, start, t_max, reverse)
         any_crossings = any_crossings or len(te) > 0
-        found, radius = _analyze_returns(xe - center.x, cfg.abs_tol)
-        if found:
+        if _returns_converge(xe - center.x):
             t_end = float(te[-1] - te[-2])
-            amplitude = _one_period(p, center, float(xe[-1]), t_end, cfg)
+            amplitude = _one_period(p, center, float(xe[-1]), t_end)
             return CycleDetection(
                 found=True,
                 period=abs(t_end),
                 amplitude=amplitude,
                 section_crossings=list(map(float, xe)),
                 stability=stability,
-                forward_terminal=fwd.terminal,
             )
         if reverse is False:
             forward_crossings = list(map(float, xe))
@@ -579,7 +566,6 @@ def detect_cycle(p: ModelParams, center: State, cfg: IntegratorConfig | None = N
         amplitude=None,
         section_crossings=forward_crossings,
         stability=CycleStability.INCONCLUSIVE,
-        forward_terminal=fwd.terminal,
     )
 
 

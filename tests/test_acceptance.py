@@ -306,7 +306,6 @@ def test_criterion_5_6_oracle_verdicts_pinned(hopf_cycles):
         assert det.found is found
         assert det.stability is (al.CycleStability.REPELLING if found
                                  else al.CycleStability.INCONCLUSIVE)
-        assert det.forward_terminal is al.TerminalReason.HORIZON_REACHED
         assert len(det.section_crossings) == n_crossings
         assert det.period == (period if period is None else pytest.approx(period, rel=1e-9))
         assert det.amplitude == (amplitude if amplitude is None

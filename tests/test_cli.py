@@ -396,14 +396,27 @@ class TestLazyImports:
             assert json.loads(res.stdout) == loaded, commands
 
 
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+def run_demo(name: str, cwd: Path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(DEMOS.parent / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(DEMOS / name)],
+                          cwd=cwd, capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(name, tmp_path):
+    # a demo that uses a removed public name fails here, not in a reader's hands
+    demo = run_demo(name, tmp_path)
+    assert demo.returncode == 0, demo.stderr
+
+
 class TestHarvestDemo:
     def test_demo_csv_equals_cli_sweep(self, tmp_path):
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-        demo = subprocess.run([sys.executable, str(root / "demos" / "harvest_sweep.py")],
-                              cwd=tmp_path, capture_output=True, text=True, env=env)
+        demo = run_demo("harvest_sweep.py", tmp_path)
         assert demo.returncode == 0, demo.stderr
         res = run_cli("sweep", "--parameter", "h", "--lo", "0.2", "--hi", "0.3",
                       "--steps", "21", "--q", "1", "--s", "1", "--m", "0.2")

@@ -20,31 +20,30 @@ SV = al.SimVerdict
 class TestIntegrate:
     def test_equilibrium_is_a_fixed_point(self):
         p = al.ModelParams(q=1, s=1, h=0.21, m=0.2)
-        traj = al.integrate(p, al.State(0.7, 0.0), al.IntegratorConfig(t_max=100.0))
+        traj = al.integrate(p, al.State(0.7, 0.0), t_max=100.0)
         assert np.max(np.hypot(traj.x - 0.7, traj.y - 0.0)) <= 1e-8
 
     def test_perturbed_start_converges_to_stable_node(self):
         p = al.ModelParams(q=1, s=1, h=0.21, m=0.2)
-        traj = al.integrate(p, al.State(0.7 + 1e-3, 1e-3), al.IntegratorConfig(t_max=200.0))
+        traj = al.integrate(p, al.State(0.7 + 1e-3, 1e-3), t_max=200.0)
         assert traj.terminal is al.TerminalReason.CONVERGED_TO_POINT
         assert math.hypot(traj.x[-1] - 0.7, traj.y[-1]) <= 1e-6
 
     def test_saddle_ejects_along_unstable_direction(self):
         p = al.ModelParams(q=1, s=1, h=0.21, m=0.2)
         # unstable direction of the lower boundary point is the prey axis
-        traj = al.integrate(p, al.State(0.3 + 1e-4, 0.0), al.IntegratorConfig(t_max=300.0))
+        traj = al.integrate(p, al.State(0.3 + 1e-4, 0.0), t_max=300.0)
         assert np.max(np.abs(traj.x - 0.3)) > 1e-2
 
     def test_time_samples_strictly_increasing(self):
         p = al.ModelParams(q=1, s=1, h=0.1, m=0.2)
-        traj = al.integrate(p, al.State(0.5, 0.4), al.IntegratorConfig(t_max=50.0))
+        traj = al.integrate(p, al.State(0.5, 0.4), t_max=50.0)
         assert np.all(np.diff(traj.t) > 0)
-        assert traj.samples.shape == (len(traj.t), 3)
 
     def test_overharvest_drives_prey_extinct(self):
         p = al.ModelParams(q=1, s=1, h=0.26, m=0.2)
         for x0 in (0.2, 0.5, 0.9):
-            traj = al.integrate(p, al.State(x0, 0.0), al.IntegratorConfig(t_max=500.0))
+            traj = al.integrate(p, al.State(x0, 0.0), t_max=500.0)
             assert traj.terminal is al.TerminalReason.HIT_DOMAIN_FLOOR
 
     def test_boundary_root_count_transition_across_fold(self):
@@ -61,8 +60,27 @@ class TestIntegrate:
 
     def test_infinite_horizon_rejected(self):
         # integrate and detect_cycle's window loop would never reach it
+        p = al.ModelParams(q=1, s=0.52, h=0.12, m=0.1)
         with pytest.raises(ValueError, match="t_max must be finite"):
-            al.IntegratorConfig(t_max=math.inf)
+            al.integrate(p, al.State(0.5, 0.4), t_max=math.inf)
+        with pytest.raises(ValueError, match="t_max must be finite"):
+            al.detect_cycle(p, al.State(0.3, 0.3), t_max=math.inf)
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan])
+    def test_horizon_must_be_positive(self, t_max):
+        p = al.ModelParams(q=1, s=0.52, h=0.12, m=0.1)
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            al.integrate(p, al.State(0.5, 0.4), t_max=t_max)
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            al.detect_cycle(p, al.State(0.3, 0.3), t_max=t_max)
+
+    def test_horizon_is_keyword_only(self):
+        # a positional third argument (an old config object) fails loudly
+        p = al.ModelParams(q=1, s=0.52, h=0.12, m=0.1)
+        with pytest.raises(TypeError):
+            al.integrate(p, al.State(0.5, 0.4), 10.0)
+        with pytest.raises(TypeError):
+            al.detect_cycle(p, al.State(0.3, 0.3), 10.0)
 
     def test_negative_predator_start_rejected(self):
         p = al.ModelParams(q=1, s=1, h=0.1, m=0.2)
@@ -81,10 +99,10 @@ class TestIntegrate:
 
         monkeypatch.setattr(dynamics, "solve_ivp", counting)
         p = al.ModelParams(q=1, s=1, h=0.21, m=0.2)
-        al.integrate(p, al.State(0.7, 0.0), al.IntegratorConfig(t_max=10.0))
+        al.integrate(p, al.State(0.7, 0.0), t_max=10.0)
         assert calls == [(0.0, 10.0)]
         al.detect_cycle(al.ModelParams(q=1, s=1.0, h=0.12, m=0.1), al.State(0.3, 0.3))
-        assert len(calls) > 2  # the forward run and at least one section window
+        assert len(calls) > 2  # the integrate run and at least two section windows
 
 
 class TestIntegratorAccuracy:
@@ -217,7 +235,8 @@ class TestDetectCycle:
         p = al.ModelParams(q=1, s=1.0, h=0.12, m=0.1)
         det = al.detect_cycle(p, al.State(0.3, 0.3))
         assert not det.found
-        assert det.forward_terminal is al.TerminalReason.CONVERGED_TO_POINT
+        assert al.integrate(p, al.State(0.31, 0.3), t_max=400.0).terminal \
+            is al.TerminalReason.CONVERGED_TO_POINT
 
     def test_slow_spiral_is_not_mistaken_for_a_cycle(self):
         # weakly attracting spiral (reversed flow of a barely unstable
@@ -228,10 +247,7 @@ class TestDetectCycle:
         d = al.discriminants(al.ModelParams(q=q, s=1.0, h=h, m=m))
         x8 = (d.C + d.D) / 2
         p = al.ModelParams(q=q, s=s2 - 0.0025, h=h, m=m)
-        det = al.detect_cycle(p, al.State(x8, x8),
-                              al.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12,
-                                                  t_max=20000.0, max_step=1.0),
-                              start_radius=2e-3)
+        det = al.detect_cycle(p, al.State(x8, x8), t_max=20000.0, start_radius=2e-3)
         assert not det.found
 
     def test_no_crossings_off_the_rotating_regime(self):
@@ -239,8 +255,17 @@ class TestDetectCycle:
         # the orbit never crosses it transversally
         p = al.ModelParams(q=1, s=1, h=0.21, m=0.2)
         with pytest.raises(NoCrossings):
-            al.detect_cycle(p, al.State(0.7, 0.0), al.IntegratorConfig(
-                rel_tol=1e-10, abs_tol=1e-12, t_max=500.0))
+            al.detect_cycle(p, al.State(0.7, 0.0), t_max=500.0)
+
+    def test_start_outside_the_domain_rejected(self):
+        p = al.ModelParams(q=1, s=0.52, h=0.12, m=0.1)
+        with pytest.raises(DomainViolation, match="got y = -0.001"):
+            al.detect_cycle(p, al.State(0.3, -1e-3))
+        # the hunt starts at center.x + start_radius, which must exceed the floor
+        with pytest.raises(ValueError, match="not admissible"):
+            al.detect_cycle(p, al.State(-1e-2, 0.3))
+        with pytest.raises(ValueError, match="not admissible"):
+            al.detect_cycle(p, al.State(0.3, 0.3), start_radius=dynamics.X_FLOOR - 0.3)
 
 
 class TestClassifyBySimulation:

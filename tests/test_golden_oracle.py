@@ -33,8 +33,7 @@ SIMULATE_CASES = {
 }
 HOPF_FAMILY = (1.0, 0.12, 0.1)
 HOPF_DELTAS = (0.02, -0.02)
-CYCLE_FIELDS = ("found", "stability", "period", "amplitude", "section_crossings",
-                "forward_terminal")
+CYCLE_FIELDS = ("found", "stability", "period", "amplitude", "section_crossings")
 
 
 def _simulate(case: str, out: Path) -> int:

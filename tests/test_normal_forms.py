@@ -145,7 +145,7 @@ class TestReductionAgainstSimulation:
         outcomes = []
         for sign in (+1.0, -1.0):
             u0 = al.State(0.5 + sign * 1e-3 * v[0], abs(sign * 1e-3 * v[1]))
-            traj = al.integrate(p, u0, al.IntegratorConfig(t_max=2000.0))
+            traj = al.integrate(p, u0, t_max=2000.0)
             dist = math.hypot(traj.x[-1] - 0.5, traj.y[-1] - 0.0)
             outcomes.append(dist < 1e-3)
         assert sorted(outcomes) == [False, True]  # attracts on exactly one side

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allee_lab.dynamics import IntegratorConfig, integrate
+from allee_lab.dynamics import integrate
 from allee_lab.model import ModelParams, State
 from allee_lab.reporting import SWEEP_COLUMNS, dumps_canonical, sweep_csv, trajectory_csv
 
@@ -122,7 +122,7 @@ def test_trajectory_csv_rows_equal_the_scalar_formula(seed):
     p = ModelParams(q=rng.uniform(0.5, 2.0), s=rng.uniform(0.2, 2.0),
                     h=rng.uniform(0.01, 0.2), m=rng.uniform(0.05, 0.5))
     traj = integrate(p, State(rng.uniform(0.3, 1.0), rng.uniform(0.1, 1.0)),
-                     IntegratorConfig(t_max=30.0))
+                     t_max=30.0)
     lines = ["t,x,y"] + [f"{float(t)!r},{float(x)!r},{float(y)!r}"
                          for t, x, y in zip(traj.t, traj.x, traj.y)]
     assert len(lines) > 10
