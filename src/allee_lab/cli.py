@@ -25,7 +25,7 @@ from .bifurcations import (_check_cusp_base, bt_normal_form, cusp_base_params,
                            first_lyapunov_coefficient, hopf_critical_s)
 from .dynamics import integrate
 from .errors import AlleeLabError
-from .model import ModelParams, State
+from .model import ModelParams, State, _linspace
 from .reporting import SweepSpec, dumps_canonical
 
 __all__ = ["main"]
@@ -115,20 +115,6 @@ def _cmd_hopf(args: argparse.Namespace) -> int:
     rep = first_lyapunov_coefficient(p, args.which)
     _emit(args, dumps_canonical(reporting.hopf_report_dict(p, args.which, rep)))
     return 0
-
-
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    # np.linspace(lo, hi, n) in the same floats, without importing numpy
-    delta = hi - lo
-    if n == 1:
-        return [0.0 * delta + lo]  # NaN, as numpy's, when delta overflows
-    step = delta / (n - 1)
-    if step == 0.0:  # an underflowing step: numpy scales i / (n - 1) instead
-        values = [i / (n - 1) * delta + lo for i in range(n)]
-    else:
-        values = [i * step + lo for i in range(n)]
-    values[-1] = hi
-    return values
 
 
 def _cmd_bt(args: argparse.Namespace) -> int:
@@ -245,21 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _linalg_errors() -> tuple[type[Exception], ...]:
-    # only sweeps and integrations import numpy; if it was never loaded, no
-    # LinAlgError can have been raised
-    np = sys.modules.get("numpy")
-    return () if np is None else (np.linalg.LinAlgError,)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _apply_config(args)
         # looked up at call time: the parser is shared, the handlers may be replaced
         return globals()[f"_cmd_{args.command}"](args)
-    except (ArithmeticError, *_linalg_errors()) as err:
-        # LinAlgError subclasses ValueError, so this branch must come first
+    except ArithmeticError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except (AlleeLabError, ValueError, OSError) as err:

@@ -16,22 +16,22 @@ at rounding-scale prey densities.  A run may take `MAX_STEPS` accepted
 steps; reversed flows are the same field integrated backward in time.
 The accuracy settings are fixed module constants: `integrate` runs at
 `RTOL`/`ATOL` with no step cap, a cycle hunt at the tighter `HUNT_RTOL`/
-`HUNT_ATOL` with steps of at most `HUNT_MAX_STEP`; callers choose only the
-horizon `t_max` (and a hunt's start offset).
-numpy is imported inside the functions that build arrays, so the closed-form
-commands, which import this module, never load it.
+`HUNT_ATOL` with steps of at most `HUNT_MAX_STEP`, and the probes of
+`classify_by_simulation` at `PROBE_RTOL`/`PROBE_ATOL`; callers choose only
+the horizon `t_max` (and a hunt's start offset).  Results are lists of
+Python floats: nothing here imports numpy.
 """
 from __future__ import annotations
 
 import enum
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from .errors import DomainViolation, NoCrossings, StepBudgetExceeded
-from .model import ModelParams, State, _field
+from .model import ModelParams, State, _field, _linspace
 
 __all__ = [
     "TerminalReason",
@@ -44,9 +44,6 @@ __all__ = [
     "classify_by_simulation",
 ]
 
-if TYPE_CHECKING:
-    import numpy as np
-
 DIVERGENCE_BOUND = 1e6  # |u| at which a run counts as diverged
 X_FLOOR = 1e-8  # prey density at which every run stops (the domain floor)
 CAPTURE_FRACTION = 0.8  # cycle hunts stay within this share of the center's x
@@ -55,6 +52,7 @@ MAX_STEPS = 200_000  # accepted steps one solve_ivp run may take
 RTOL, ATOL = 1e-8, 1e-10  # integrate's tolerances; its steps are uncapped
 # a cycle hunt's tolerances and step cap: its return map needs the tighter ones
 HUNT_RTOL, HUNT_ATOL, HUNT_MAX_STEP = 1e-10, 1e-12, 1.0
+PROBE_RTOL, PROBE_ATOL = 1e-9, 1e-13  # classify_by_simulation's probe runs
 
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Sec. II.5) with Shampine's
@@ -174,13 +172,14 @@ def solve_ivp(fun, t_span, y0, *, t_eval=None, events=None,
     on the dense output, honouring `.terminal` and `.direction`; `t_eval`
     (ordered along `t_span`) sampled from it.  A stage that divides by zero
     or overflows rejects the step, as an inf or nan error norm does, so a
-    blow-up ends in a step-size underflow.  Returns `t`, `y` (2 x n),
-    `t_events`, `y_events`, `status` (0 end of span, 1 terminal event, -1
-    step-size underflow) and `nfev` (2 + 6 per attempted step).  A run
-    that needs more than `MAX_STEPS` accepted steps raises
-    StepBudgetExceeded.  The keywords are scipy's for its default RK45,
-    which has no `method` here.  Call sites look this name up at call time,
-    so a caller can swap in a wrapper.
+    blow-up ends in a step-size underflow.  Returns lists of floats: `t`,
+    `y` as the pair `(xs, ys)`, and per event `t_events` (times) and
+    `y_events` (`(x, y)` tuples), or None without `events`; then `status`
+    (0 end of span, 1 terminal event, -1 step-size underflow) and `nfev`
+    (2 + 6 per attempted step).  A run that needs more than `MAX_STEPS`
+    accepted steps raises StepBudgetExceeded.  The keywords are scipy's for
+    its default RK45, which has no `method` here.  Call sites look this name
+    up at call time, so a caller can swap in a wrapper.
     """
     t0, tf = float(t_span[0]), float(t_span[1])
     x, y = float(y0[0]), float(y0[1])
@@ -293,13 +292,11 @@ def solve_ivp(fun, t_span, y0, *, t_eval=None, events=None,
                 us.append(sol(samples[n_sampled]))
                 n_sampled += 1
         k1x, k1y = k7x, k7y
-    import numpy as np
-
     has_events = events is not None
     return SimpleNamespace(
-        t=np.array(ts), y=np.array(us).T, status=status, nfev=nfev,
-        t_events=[np.array(te) for te in t_events] if has_events else None,
-        y_events=[np.array(ye) for ye in y_events] if has_events else None)
+        t=ts, y=([u[0] for u in us], [u[1] for u in us]), status=status, nfev=nfev,
+        t_events=t_events if has_events else None,
+        y_events=y_events if has_events else None)
 
 
 class TerminalReason(enum.Enum):
@@ -311,9 +308,9 @@ class TerminalReason(enum.Enum):
 
 @dataclass(frozen=True)
 class Trajectory:
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
+    t: list[float]
+    x: list[float]
+    y: list[float]
     terminal: TerminalReason
 
 
@@ -331,8 +328,8 @@ def _event(g, direction: float, terminal: bool = True):
     return g
 
 
-def _floor_event(x_floor: float = X_FLOOR):
-    return _event(lambda t, u: u[0] - x_floor, -1.0)
+def _floor_event():
+    return _event(lambda t, u: u[0] - X_FLOOR, -1.0)
 
 
 def _ball_event(center: State, radius: float, direction: float):
@@ -350,16 +347,21 @@ def _divergence_event():
     return _ball_event(State(0.0, 0.0), DIVERGENCE_BOUND, 1.0)
 
 
+def _check_start(u0: State) -> None:
+    """Reject a state off the domain: ValueError, or DomainViolation for y < 0."""
+    if not (u0.x > X_FLOOR and math.isfinite(u0.x) and math.isfinite(u0.y)):
+        raise ValueError(f"initial state ({u0.x}, {u0.y}) not admissible (x must exceed the floor)")
+    if u0.y < 0:
+        raise DomainViolation(f"predator density must be non-negative, got y = {u0.y}")
+
+
 def _check_run(u0: State, t_max: float) -> None:
     """Reject a horizon that is not positive and finite, and a start off the domain."""
     if not t_max > 0:
         raise ValueError("t_max must be positive")
     if t_max == math.inf:
         raise ValueError("t_max must be finite")
-    if not (u0.x > X_FLOOR and math.isfinite(u0.x) and math.isfinite(u0.y)):
-        raise ValueError(f"initial state ({u0.x}, {u0.y}) not admissible (x must exceed the floor)")
-    if u0.y < 0:
-        raise DomainViolation(f"predator density must be non-negative, got y = {u0.y}")
+    _check_start(u0)
 
 
 def integrate(p: ModelParams, u0: State, *, t_max: float = 200.0) -> Trajectory:
@@ -373,7 +375,7 @@ def integrate(p: ModelParams, u0: State, *, t_max: float = 200.0) -> Trajectory:
     _check_run(u0, t_max)
     sol = solve_ivp(_rhs(p), (0.0, t_max), (u0.x, u0.y), rtol=RTOL, atol=ATOL,
                     events=[_floor_event(), _divergence_event()])
-    t, xs, ys = sol.t, sol.y[0], sol.y[1]
+    t, (xs, ys) = sol.t, sol.y
     if sol.status == 1:
         terminal = (
             TerminalReason.HIT_DOMAIN_FLOOR if len(sol.t_events[0]) else TerminalReason.DIVERGED
@@ -383,10 +385,9 @@ def integrate(p: ModelParams, u0: State, *, t_max: float = 200.0) -> Trajectory:
     else:
         terminal = TerminalReason.HORIZON_REACHED
         speed = math.hypot(*_field(p.q, p.s, p.h, p.m, xs[-1], ys[-1]))
-        tail = t >= t[-1] - 0.1 * t_max
-        drift = math.hypot(
-            float(xs[tail].max() - xs[tail].min()), float(ys[tail].max() - ys[tail].min())
-        )
+        tail = bisect_left(t, t[-1] - 0.1 * t_max)
+        tail_x, tail_y = xs[tail:], ys[tail:]
+        drift = math.hypot(max(tail_x) - min(tail_x), max(tail_y) - min(tail_y))
         if speed <= 1e-8 * (1.0 + math.hypot(xs[-1], ys[-1])) and drift <= 1e-6:
             terminal = TerminalReason.CONVERGED_TO_POINT
     return Trajectory(t=t, x=xs, y=ys, terminal=terminal)
@@ -408,7 +409,7 @@ class CycleDetection:
 
 
 def _section_crossings(p: ModelParams, center: State, start: State, t_max: float,
-                       reverse: bool) -> tuple[np.ndarray, np.ndarray]:
+                       reverse: bool) -> tuple[list[float], list[float]]:
     """Times and x-locations of oriented crossings of {y = yc, x > xc}.
 
     The crossing orientation is fixed to "upward for the forward flow";
@@ -418,8 +419,6 @@ def _section_crossings(p: ModelParams, center: State, start: State, t_max: float
     converged (or clearly spiralled into the center), which keeps
     long-horizon cycle hunts affordable.
     """
-    import numpy as np
-
     rhs = _rhs(p)
     sign = -1.0 if reverse else 1.0
     # a probe that stays on the section (a center on y = 0) gives -1 in
@@ -444,18 +443,17 @@ def _section_crossings(p: ModelParams, center: State, start: State, t_max: float
             max_step=HUNT_MAX_STEP,
             events=events,
         )
-        te, ue = sol.t_events[0], sol.y_events[0]
-        for t, state in zip(te, ue):
+        for t, state in zip(sol.t_events[0], sol.y_events[0]):
             # keep transversal crossings only; an orbit gliding inside the
             # section itself (invariant axis) fires the event every step
             if state[0] > center.x and abs(rhs(t, state)[1]) > 1e-10:
-                times.append(float(t))
-                locs.append(float(state[0]))
+                times.append(t)
+                locs.append(state[0])
         if sol.status != 0:
             break  # left the capture region or hit the domain floor
-        t0 = sign * float(sol.t[-1])
-        u = (float(sol.y[0, -1]), float(sol.y[1, -1]))
-        radii = np.asarray(locs) - center.x
+        t0 = sign * sol.t[-1]
+        u = (sol.y[0][-1], sol.y[1][-1])
+        radii = [x - center.x for x in locs]
         if _returns_converge(radii):
             break
         if len(radii) >= 12:
@@ -463,14 +461,14 @@ def _section_crossings(p: ModelParams, center: State, start: State, t_max: float
             d_last = abs(radii[-1] - radii[-2])
             # monotone spiral toward the center, still far from any cycle:
             # nothing to find inward of the start radius
-            if (np.all(np.diff(tail) < 0)
+            if (all(b < a for a, b in zip(tail, tail[1:]))
                     and radii[-1] < 0.2 * (start.x - center.x)
                     and d_last > 1e-6):
                 break
-    return np.asarray(times), np.asarray(locs)
+    return times, locs
 
 
-def _returns_converge(radii: np.ndarray) -> bool:
+def _returns_converge(radii: list[float]) -> bool:
     """Whether the return map's radii settle onto an attracting fixed radius.
 
     Requires three successive return gaps below 1e-7 plus a certificate
@@ -482,41 +480,30 @@ def _returns_converge(radii: np.ndarray) -> bool:
     gap-to-radius ratio stays pinned at (1 - contraction factor), so both
     certificates reject it.
     """
-    import numpy as np
-
     if len(radii) < 5:
         return False
-    deltas = np.diff(radii)
-    gaps = np.abs(deltas)
-    if not bool((gaps[-3:] < 1e-7).all()):
+    r_4, r_3, r_2, r_last = radii[-4:]
+    delta = r_last - r_2
+    gap, gap_before = abs(delta), abs(r_2 - r_3)
+    if not (gap < 1e-7 and gap_before < 1e-7 and abs(r_3 - r_4) < 1e-7):
         return False
-    r_last = float(radii[-1])
     if r_last <= 10.0 * HUNT_ATOL:
         return False
-    if gaps[-1] <= 1e-4 * r_last:
+    if gap <= 1e-4 * r_last:
         return True
-    if gaps[-2] > 0:
-        ratio = gaps[-1] / gaps[-2]
+    if gap_before > 0:
+        ratio = gap / gap_before
         if ratio < 0.99:
-            limit = float(r_last + deltas[-1] * ratio / (1.0 - ratio))
+            limit = r_last + delta * ratio / (1.0 - ratio)
             return limit > 10.0 * HUNT_ATOL and limit > 0.5 * r_last
     return False
 
 
 def _one_period(p: ModelParams, center: State, x_start: float, t_end: float) -> float:
     # t_end is minus the period for a reversed flow
-    import numpy as np
-
-    tt = np.linspace(0.0, t_end, 2000)
-    sol = solve_ivp(
-        _rhs(p),
-        (0.0, t_end),
-        (x_start, center.y),
-        rtol=HUNT_RTOL,
-        atol=HUNT_ATOL,
-        t_eval=tt,
-    )
-    return float(np.hypot(sol.y[0] - center.x, sol.y[1] - center.y).max())
+    sol = solve_ivp(_rhs(p), (0.0, t_end), (x_start, center.y), rtol=HUNT_RTOL,
+                    atol=HUNT_ATOL, t_eval=_linspace(0.0, t_end, 2000))
+    return max(math.hypot(x - center.x, y - center.y) for x, y in zip(*sol.y))
 
 
 def detect_cycle(p: ModelParams, center: State, *, t_max: float = 6000.0,
@@ -546,18 +533,18 @@ def detect_cycle(p: ModelParams, center: State, *, t_max: float = 6000.0,
                                (True, CycleStability.REPELLING)):
         te, xe = _section_crossings(p, center, start, t_max, reverse)
         any_crossings = any_crossings or len(te) > 0
-        if _returns_converge(xe - center.x):
-            t_end = float(te[-1] - te[-2])
-            amplitude = _one_period(p, center, float(xe[-1]), t_end)
+        if _returns_converge([x - center.x for x in xe]):
+            t_end = te[-1] - te[-2]
+            amplitude = _one_period(p, center, xe[-1], t_end)
             return CycleDetection(
                 found=True,
                 period=abs(t_end),
                 amplitude=amplitude,
-                section_crossings=list(map(float, xe)),
+                section_crossings=xe,
                 stability=stability,
             )
         if reverse is False:
-            forward_crossings = list(map(float, xe))
+            forward_crossings = xe
     if not any_crossings:
         raise NoCrossings("orbit never returned to the section through the center")
     return CycleDetection(
@@ -580,17 +567,29 @@ class SimVerdict(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-def _fd_jacobian(p: ModelParams, x: float, y: float, step: float = 1e-6) -> np.ndarray:
-    # oracle-side Jacobian: finite differences only, no closed forms
-    import numpy as np
+def _fd_jacobian(p: ModelParams, x: float, y: float, step: float = 1e-6):
+    """(df1/dx, df1/dy, df2/dx, df2/dy) by central differences: the
+    oracle-side Jacobian uses no closed forms."""
+    if x - step <= 0:
+        raise ValueError(f"x = {x} is within the finite-difference step {step} of x = 0")
+    q, s, h, m = p.q, p.s, p.h, p.m
+    (fx1, fx2), (bx1, bx2) = _field(q, s, h, m, x + step, y), _field(q, s, h, m, x - step, y)
+    (fy1, fy2), (by1, by2) = _field(q, s, h, m, x, y + step), _field(q, s, h, m, x, y - step)
+    w = 2 * step
+    return (fx1 - bx1) / w, (fy1 - by1) / w, (fx2 - bx2) / w, (fy2 - by2) / w
 
-    def f(a, b):
-        return np.array(_field(p.q, p.s, p.h, p.m, a, b))
 
-    return np.column_stack([
-        (f(x + step, y) - f(x - step, y)) / (2 * step),
-        (f(x, y + step) - f(x, y - step)) / (2 * step),
-    ])
+def _winding(xs: list[float], ys: list[float], cx: float, cy: float) -> float:
+    """|Total angle| the points turn about (cx, cy), unwrapped as np.unwrap
+    does: a step of more than pi one way is taken as less than pi the other."""
+    angles = [math.atan2(y - cy, x - cx) for x, y in zip(xs, ys)]
+    turns = 0
+    for a, b in zip(angles, angles[1:]):
+        if b - a > math.pi:
+            turns -= 1
+        elif b - a < -math.pi:
+            turns += 1
+    return abs(angles[-1] - angles[0] + 2 * math.pi * turns)
 
 
 def _probe(p: ModelParams, center: State, u0: tuple[float, float], events: list,
@@ -601,15 +600,11 @@ def _probe(p: ModelParams, center: State, u0: tuple[float, float], events: list,
     'A' if the probe fell into the inner ball, 'E' if it left the outer
     one (or the domain), 'U' otherwise.
     """
-    import numpy as np
-
     sol = solve_ivp(
         _rhs(p), (0.0, t_end), u0,
-        rtol=1e-9, atol=1e-13, max_step=max_step, events=events,
+        rtol=PROBE_RTOL, atol=PROBE_ATOL, max_step=max_step, events=events,
     )
-    dx, dy = sol.y[0] - center.x, sol.y[1] - center.y
-    ang = np.unwrap(np.arctan2(dy, dx))
-    winding = float(abs(ang[-1] - ang[0])) if len(ang) > 1 else 0.0
+    winding = _winding(*sol.y, center.x, center.y)
     if sol.status == 0:
         return "U", winding
     return ("A" if sol.status == 1 and len(sol.t_events[0]) else "E"), winding
@@ -632,23 +627,29 @@ def classify_by_simulation(p: ModelParams, e) -> SimVerdict:
     the measured (finite-difference) linearisation; see `subtype` below.
     Any other pattern, or probes that cannot decide within the horizon, is
     reported Inconclusive rather than guessed.  `e` is anything with x/y
-    attributes (an Equilibrium or a State).
+    attributes (an Equilibrium or a State); a point off the domain, as
+    `integrate` checks it, or within the finite-difference step of x = 0
+    raises ValueError (DomainViolation for y < 0).
     """
-    import numpy as np
-
     xc, yc = float(e.x), float(e.y)
     center = State(xc, yc)
-    J = _fd_jacobian(p, xc, yc)
-    lam = np.linalg.eigvals(J)
-    min_rate = float(np.abs(lam.real).min())
-    if min_rate < 1e-6:
+    _check_start(center)
+    j11, j12, j21, j22 = _fd_jacobian(p, xc, yc)
+    tr_fd, det_fd = j11 + j22, j11 * j22 - j12 * j21
+    disc_fd = tr_fd * tr_fd - 4.0 * det_fd
+    # the slowest rate |Re lambda| and the rotation |Im lambda|; of two real
+    # roots the small one is det / large root, which does not cancel
+    if disc_fd < 0:
+        min_rate, rot = abs(tr_fd) / 2, math.sqrt(-disc_fd) / 2
+    else:
+        large = (tr_fd + math.copysign(math.sqrt(disc_fd), tr_fd)) / 2
+        min_rate, rot = (abs(det_fd / large) if large else 0.0), 0.0
+    if not min_rate >= 1e-6:
         return SimVerdict.INCONCLUSIVE  # effectively non-hyperbolic at probe scale
     t_max = min(3000.0, max(50.0, 30.0 / min_rate))
-    rot = float(np.abs(lam.imag).max())
     max_step = 0.7 / max(rot, 1.0 / t_max)
-    x_floor = min(X_FLOOR, 0.5 * xc)
     events = [_ball_event(center, PROBE_RADIUS * 1e-2, -1.0),
-              _ball_event(center, PROBE_RADIUS * 1e2, 1.0), _floor_event(x_floor)]
+              _ball_event(center, PROBE_RADIUS * 1e2, 1.0), _floor_event()]
 
     outcomes: dict[bool, list[str]] = {False: [], True: []}
     windings: dict[bool, list[float]] = {False: [], True: []}
@@ -658,7 +659,7 @@ def classify_by_simulation(p: ModelParams, e) -> SimVerdict:
             # of the boundary/Allee-line saddles
             ang = 2.0 * math.pi * k / 8.0 + math.pi / 16.0
             u0 = (xc + PROBE_RADIUS * math.cos(ang), yc + PROBE_RADIUS * math.sin(ang))
-            if u0[0] <= x_floor or u0[1] < 0.0:
+            if u0[0] <= X_FLOOR or u0[1] < 0.0:
                 continue  # probe would start outside the admissible domain
             out, wind = _probe(p, center, u0, events, -t_max if reverse else t_max, max_step)
             outcomes[reverse].append(out)
@@ -668,10 +669,7 @@ def classify_by_simulation(p: ModelParams, e) -> SimVerdict:
     if not fwd or not rev or "U" in fwd or "U" in rev:
         return SimVerdict.INCONCLUSIVE
 
-    tr_fd = float(J[0, 0] + J[1, 1])
-    det_fd = float(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
-    disc_fd = tr_fd * tr_fd - 4.0 * det_fd
-    disc_margin = 1e-6 * max(1.0, float(np.sum(J * J)))  # squared Frobenius norm
+    disc_margin = 1e-6 * max(1.0, j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22)
 
     def subtype(stable: bool) -> SimVerdict:
         # Stability itself is decided purely from orbits.  The node/focus

@@ -230,3 +230,17 @@ def derivatives(p: ModelParams, u: State) -> TaylorCoefficients:
         0.5 * (s * g_yy * ix2),         # b12
         -6.0 * s * ix / 6.0,            # b03
     )
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    # np.linspace(lo, hi, n) in the same floats, without importing numpy
+    delta = hi - lo
+    if n == 1:
+        return [0.0 * delta + lo]  # NaN, as numpy's, when delta overflows
+    step = delta / (n - 1)
+    if step == 0.0:  # an underflowing step: numpy scales i / (n - 1) instead
+        values = [i / (n - 1) * delta + lo for i in range(n)]
+    else:
+        values = [i * step + lo for i in range(n)]
+    values[-1] = hi
+    return values

@@ -244,7 +244,7 @@ def _csv(header, columns) -> str:
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    return _csv(("t", "x", "y"), (traj.t.tolist(), traj.x.tolist(), traj.y.tolist()))
+    return _csv(("t", "x", "y"), (traj.t, traj.x, traj.y))
 
 
 # ---------------------------------------------------------------------------

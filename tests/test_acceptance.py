@@ -374,7 +374,7 @@ def test_criterion_8_oracle_integrity(acceptance):
     for tol in (1e-6, 1e-8, 1e-10):
         sol = al.dynamics.solve_ivp(lambda t, z: J @ z, (0.0, 1.0), z0,
                                     rtol=tol, atol=tol * 1e-2)
-        errors.append(float(np.hypot(*(sol.y[:, -1] - exact))))
+        errors.append(float(np.hypot(*(np.array(sol.y)[:, -1] - exact))))
     assert errors[0] > errors[1] > errors[2]
     slope = (math.log(errors[0]) - math.log(errors[2])) / (math.log(1e-6) - math.log(1e-10))
     assert 0.5 <= slope <= 1.5

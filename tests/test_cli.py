@@ -11,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from allee_lab.cli import _linspace, main
+from allee_lab.cli import main
+from allee_lab.model import _linspace
 from allee_lab.normal_forms import taylor_at
 from allee_lab.reporting import dumps_canonical
 
@@ -161,12 +162,16 @@ class TestBT:
     @settings(derandomize=True, max_examples=1000, deadline=None)
     @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
            st.integers(min_value=1, max_value=200))
+    @example(45.33, 2000)  # a cycle's amplitude samples of one 45.33 period
     def test_grid_values_equal_numpy_linspace(self, box, n):
-        # bt_grid5.json pins the grid's eta values, which np.linspace gave
-        with np.errstate(all="ignore"):  # 2 * box may overflow on both routes
-            expected = np.linspace(-box, box, n).tolist()
-        got = _linspace(-box, box, n)
-        assert list(map(repr, got)) == list(map(repr, expected))
+        # bt_grid5.json pins the grid's eta values, which np.linspace gave;
+        # detect_cycle samples one period from 0 to t_end, which a reversed
+        # flow makes negative
+        for lo, hi in ((-box, box), (0.0, box), (0.0, -box)):
+            with np.errstate(all="ignore"):  # 2 * box may overflow on both routes
+                expected = np.linspace(lo, hi, n).tolist()
+            got = _linspace(lo, hi, n)
+            assert list(map(repr, got)) == list(map(repr, expected))
 
     def test_inadmissible_cusp_exits_2(self):
         res = run_cli("bt", "--q", "1", "--m", "0.3")
@@ -362,21 +367,21 @@ class TestSweep:
 _LOADED_AFTER_EACH = """
 import json, sys
 import allee_lab as al, allee_lab.cli as cli
+p = al.ModelParams(q=1, s=1.0, h=0.12, m=0.1)
+assert not al.detect_cycle(p, al.State(0.3, 0.3)).found
+assert al.classify_by_simulation(p, al.State(0.3, 0.3)) is al.SimVerdict.STABLE_FOCUS
+assert "numpy" not in sys.modules  # the simulation oracle runs on floats
 loaded = ["numpy" in sys.modules]
 for argv in json.loads(sys.argv[1]):
     assert cli.main([*argv, "--out", sys.argv[2]]) == 0, argv
     loaded.append("numpy" in sys.modules)
-p = al.ModelParams(q=1, s=1.0, h=0.12, m=0.1)
-if loaded[-1]:  # the oracle loads numpy as well: run it after the array commands
-    assert not al.detect_cycle(p, al.State(0.3, 0.3)).found
-    assert al.classify_by_simulation(p, al.State(0.3, 0.3)) is al.SimVerdict.STABLE_FOCUS
 assert "scipy" not in sys.modules
 print(json.dumps(loaded))
 """
 
 
 class TestLazyImports:
-    def test_numpy_only_on_first_sweep_or_integration(self, tmp_path):
+    def test_numpy_only_on_first_sweep(self, tmp_path):
         # fresh interpreters: this one imported numpy and scipy with the tests
         runs = [
             ([["analyze", "--q=1", "--s=1", "--h=0.12", "--m=0.1"],
@@ -386,7 +391,7 @@ class TestLazyImports:
             ([["sweep", "--parameter=h", "--lo=0.2", "--hi=0.3", "--steps=11",
                "--q=1", "--s=1", "--m=0.2"]], [False, True]),
             ([["simulate", "--q=1", "--s=1", "--h=0.21", "--m=0.2", "--x0=0.71",
-               "--y0=0.01", "--tmax=5"]], [False, True]),
+               "--y0=0.01", "--tmax=5"]], [False, False]),
         ]
         for commands, loaded in runs:
             res = subprocess.run([sys.executable, "-c", _LOADED_AFTER_EACH,
@@ -458,7 +463,7 @@ class TestExitCodes:
         import allee_lab.cli as cli_mod
 
         def boom(args):
-            raise np.linalg.LinAlgError("synthetic failure")
+            raise ZeroDivisionError("synthetic failure")
 
         monkeypatch.setattr(cli_mod, "_cmd_analyze", boom)
         code = main(["analyze", "--q", "1", "--s", "1", "--h", "0.2", "--m", "0.2"])
@@ -471,7 +476,7 @@ class TestExitCodes:
         assert main(argv) == 0
 
         def boom(args):
-            raise np.linalg.LinAlgError("synthetic failure")
+            raise ZeroDivisionError("synthetic failure")
 
         monkeypatch.setattr(cli_mod, "_cmd_analyze", boom)
         assert main(argv) == 3

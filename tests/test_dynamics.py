@@ -21,7 +21,7 @@ class TestIntegrate:
     def test_equilibrium_is_a_fixed_point(self):
         p = al.ModelParams(q=1, s=1, h=0.21, m=0.2)
         traj = al.integrate(p, al.State(0.7, 0.0), t_max=100.0)
-        assert np.max(np.hypot(traj.x - 0.7, traj.y - 0.0)) <= 1e-8
+        assert max(map(math.hypot, [x - 0.7 for x in traj.x], traj.y)) <= 1e-8
 
     def test_perturbed_start_converges_to_stable_node(self):
         p = al.ModelParams(q=1, s=1, h=0.21, m=0.2)
@@ -33,7 +33,7 @@ class TestIntegrate:
         p = al.ModelParams(q=1, s=1, h=0.21, m=0.2)
         # unstable direction of the lower boundary point is the prey axis
         traj = al.integrate(p, al.State(0.3 + 1e-4, 0.0), t_max=300.0)
-        assert np.max(np.abs(traj.x - 0.3)) > 1e-2
+        assert max(abs(x - 0.3) for x in traj.x) > 1e-2
 
     def test_time_samples_strictly_increasing(self):
         p = al.ModelParams(q=1, s=1, h=0.1, m=0.2)
@@ -117,7 +117,7 @@ class TestIntegratorAccuracy:
         for tol in (1e-6, 1e-8, 1e-10):
             sol = dynamics.solve_ivp(lambda t, z: J @ z, (0.0, 1.0), z0,
                                      rtol=tol, atol=tol * 1e-2)
-            errors.append(float(np.hypot(*(sol.y[:, -1] - exact))))
+            errors.append(float(np.hypot(*(np.array(sol.y)[:, -1] - exact))))
         assert errors[0] > errors[1] > errors[2]
         slope = (math.log(errors[0]) - math.log(errors[2])) / (math.log(1e-6) - math.log(1e-10))
         assert 0.5 <= slope <= 1.5
@@ -281,10 +281,53 @@ class TestClassifyBySimulation:
         _, e9 = al.solve_branch_diagonal(p)
         assert al.classify_by_simulation(p, e9) in (SV.UNSTABLE_NODE, SV.UNSTABLE)
 
+    @pytest.mark.parametrize("point, error", [
+        ((math.nan, 0.3), ValueError),
+        ((0.3, math.inf), ValueError),
+        ((1e-6, 0.3), ValueError),  # the finite-difference stencil reaches x = 0
+        ((-0.5, 0.3), ValueError),
+        ((0.3, -0.2), DomainViolation),
+    ])
+    def test_point_off_the_domain_rejected(self, point, error):
+        p = al.ModelParams(q=1, s=1, h=0.12, m=0.1)
+        with pytest.raises(error):
+            al.classify_by_simulation(p, al.State(*point))
+
+    def test_winding_equals_numpy_unwrap_on_probe_orbits(self, monkeypatch):
+        # numpy is the reference here only; np.arctan2 and math.atan2 may
+        # differ in the last bit, so the windings agree to rounding
+        orbits = []
+        solver = dynamics.solve_ivp
+
+        def recording(*args, **kwargs):
+            sol = solver(*args, **kwargs)
+            orbits.append(sol.y)
+            return sol
+
+        monkeypatch.setattr(dynamics, "solve_ivp", recording)
+        rng = np.random.default_rng(7)
+        points = [(al.ModelParams(q=1, s=1, h=0.12, m=0.1), al.State(0.3, 0.3))]  # winds
+        while len(points) < 7:
+            p = random_params(rng)
+            points += [(p, e) for e in al.full_portrait(p) if e.classification in
+                       (SC.SADDLE, SC.STABLE_NODE, SC.UNSTABLE_NODE, SC.STABLE_FOCUS,
+                        SC.UNSTABLE_FOCUS)]
+        windings = []
+        for p, center in points:
+            orbits.clear()
+            al.classify_by_simulation(p, center)
+            for xs, ys in orbits:
+                ang = np.unwrap(np.arctan2(np.subtract(ys, center.y), np.subtract(xs, center.x)))
+                windings.append(dynamics._winding(xs, ys, center.x, center.y))
+                assert windings[-1] == pytest.approx(abs(ang[-1] - ang[0]), rel=1e-14, abs=1e-14)
+        assert len(windings) >= 64 and max(windings) > 4 * math.pi
+
     def test_degenerate_point_is_inconclusive(self):
         p = al.cusp_base_params(1.0, 0.1)
         (e7,) = al.solve_branch_diagonal(p)
         assert al.classify_by_simulation(p, e7) is SV.INCONCLUSIVE
+        # nor does a finite-difference Jacobian that overflows
+        assert al.classify_by_simulation(p, al.State(0.3, 1e200)) is SV.INCONCLUSIVE
 
     def test_agrees_with_analytic_classification_on_random_sweep(self):
         """200 random hyperbolic equilibria: the orbit-based verdict must
