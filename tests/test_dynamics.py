@@ -306,7 +306,7 @@ class TestClassifyBySimulation:
 
         monkeypatch.setattr(dynamics, "solve_ivp", recording)
         rng = np.random.default_rng(7)
-        points = [(al.ModelParams(q=1, s=1, h=0.12, m=0.1), al.State(0.3, 0.3))]  # winds
+        points = [(al.ModelParams(q=1, s=1, h=0.12, m=0.1), al.State(0.3, 0.3))]  # ~3 turns
         while len(points) < 7:
             p = random_params(rng)
             points += [(p, e) for e in al.full_portrait(p) if e.classification in
@@ -326,7 +326,7 @@ class TestClassifyBySimulation:
         p = al.cusp_base_params(1.0, 0.1)
         (e7,) = al.solve_branch_diagonal(p)
         assert al.classify_by_simulation(p, e7) is SV.INCONCLUSIVE
-        # nor does a finite-difference Jacobian that overflows
+        # a finite-difference Jacobian that overflows decides nothing either
         assert al.classify_by_simulation(p, al.State(0.3, 1e200)) is SV.INCONCLUSIVE
 
     def test_agrees_with_analytic_classification_on_random_sweep(self):
