@@ -179,7 +179,7 @@ def _lyapunov_terms(a: float, b: float, c: float, t: TaylorCoefficients) -> tupl
     # Dynamical Systems, section 4.4; the last one carries the cubic part
     return (
         a * c * (t.a11**2 + t.a11 * t.b02 + t.a02 * t.b11),
-        a * b * (t.b11**2 + t.a20 * t.b11 + t.a11 * t.b02),
+        a * b * (t.b11**2 + t.a20 * t.b11 + t.a11 * t.b20),
         # + 0.0: at a02 = 0 the product is -0.0 (a11 = -q), reported as 0.0
         c * c * (t.a11 * t.a02 + 2.0 * t.a02 * t.b02) + 0.0,
         -2.0 * a * c * (t.b02**2 - t.a20 * t.a02),

@@ -17,7 +17,7 @@ from allee_lab.errors import (
     NoZeroEigenvalue,
     NotAWeakCenter,
 )
-from allee_lab.model import _field
+from allee_lab.model import TaylorCoefficients, _field
 from allee_lab.normal_forms import taylor_at
 
 
@@ -97,6 +97,47 @@ class TestHopfCriticalS:
                 al.hopf_critical_s(p, "E9")
 
 
+def _kuznetsov_l1(t: TaylorCoefficients) -> float:
+    """First Lyapunov coefficient of a weak centre from its Taylor record, by
+    the coordinate-free formula (3.20) of Kuznetsov, Elements of Applied
+    Bifurcation Theory, section 3.5, with A q = i w q, A^T p = -i w p,
+    <q, q> = <p, q> = 1.  Independent of Perko's grouped terms."""
+    A = np.array([[t.a10, t.a01], [t.b10, t.b01]])
+    omega = math.sqrt(np.linalg.det(A))
+
+    def B(u, v):  # D^2 f(u, v)
+        return np.array([
+            2 * c20 * u[0] * v[0] + c11 * (u[0] * v[1] + u[1] * v[0]) + 2 * c02 * u[1] * v[1]
+            for c20, c11, c02 in ((t.a20, t.a11, t.a02), (t.b20, t.b11, t.b02))])
+
+    def C(u, v, w):  # D^3 f(u, v, w)
+        return np.array([
+            6 * c30 * u[0] * v[0] * w[0] + 6 * c03 * u[1] * v[1] * w[1]
+            + 2 * c21 * (u[0] * v[0] * w[1] + u[0] * v[1] * w[0] + u[1] * v[0] * w[0])
+            + 2 * c12 * (u[0] * v[1] * w[1] + u[1] * v[0] * w[1] + u[1] * v[1] * w[0])
+            for c30, c21, c12, c03 in ((t.a30, t.a21, t.a12, t.a03),
+                                       (t.b30, t.b21, t.b12, t.b03))])
+
+    values, vectors = np.linalg.eig(A)
+    q = vectors[:, np.argmax(values.imag)]  # unit norm
+    values, vectors = np.linalg.eig(A.T)
+    p = vectors[:, np.argmin(values.imag)]
+    p = p / np.conj(np.vdot(p, q))
+    qc = np.conj(q)
+    total = (np.vdot(p, C(q, q, qc))
+             - 2 * np.vdot(p, B(q, np.linalg.solve(A, B(q, qc))))
+             + np.vdot(p, B(qc, np.linalg.solve(2j * omega * np.eye(2) - A, B(q, q)))))
+    return total.real / (2 * omega)
+
+
+def _random_weak_centre(rng, a, b, c) -> TaylorCoefficients:
+    # linear part (a, b; c, -a), every quadratic and cubic coefficient random
+    names = ("a20", "a11", "a02", "a30", "a21", "a12", "a03",
+             "b20", "b11", "b02", "b30", "b21", "b12", "b03")
+    return TaylorCoefficients(a00=0.0, b00=0.0, a10=a, a01=b, b10=c, b01=-a,
+                              **dict(zip(names, rng.normal(size=len(names)))))
+
+
 class TestFirstLyapunovCoefficient:
     def test_reference_point(self):
         p = al.ModelParams(q=1, s=0.5, h=0.12, m=0.1)
@@ -158,6 +199,46 @@ class TestFirstLyapunovCoefficient:
             rep = al.first_lyapunov_coefficient(al.ModelParams(q=q, s=s2 + ds, h=h, m=m), "E8")
             signs.add(math.copysign(1.0, rep.sigma))
         assert signs == {1.0}
+
+    def test_sign_agrees_with_kuznetsov_l1(self):
+        rng = np.random.default_rng(1202)
+        checked = 0
+        while checked < 1000:
+            a, b, c = rng.normal(size=3)
+            if not -a * a - b * c > 0:
+                continue  # not a centre: det <= 0
+            t = _random_weak_centre(rng, a, b, c)
+            sigma = al.lyapunov_number(a, b, c, -a, t)
+            assert (sigma > 0) == (_kuznetsov_l1(t) > 0), (a, b, c, sigma)
+            checked += 1
+
+    @pytest.mark.parametrize("linear", [(0.3, -0.8, 0.9), (0.0, -1.0, 1.0)])
+    def test_ratio_to_kuznetsov_l1_depends_on_the_linear_part_only(self, linear):
+        # sigma and l1 are both cubic in the nonlinear terms, so at a fixed
+        # linear part one constant relates them; at the rotation (0, -1; 1, 0)
+        # Perko's prefactor 3 pi / 2 and Kuznetsov's 1 / 2 make it 6 pi
+        rng = np.random.default_rng(20)
+        a, b, c = linear
+        ratios = []
+        for _ in range(200):
+            t = _random_weak_centre(rng, a, b, c)
+            ratios.append(al.lyapunov_number(a, b, c, -a, t) / _kuznetsov_l1(t))
+        centre = float(np.median(ratios))
+        assert max(abs(r / centre - 1) for r in ratios) <= 1e-13
+        if linear == (0.0, -1.0, 1.0):
+            assert centre == pytest.approx(6 * math.pi, rel=1e-14)
+
+    def test_slow_spiral_point_is_subcritical(self):
+        # sigma read -103.96 here while the return map and l1 = +13.75 both
+        # say the weak focus is unstable
+        q, h, m = 5.450519520124454, 0.029265849461677693, 0.011600508779215722
+        s2 = al.hopf_critical_s(al.ModelParams(q=q, s=1.0, h=h, m=m), "E8")
+        p = al.ModelParams(q=q, s=s2, h=h, m=m)
+        rep = al.first_lyapunov_coefficient(p, "E8")
+        d = al.discriminants(p)
+        x8 = (d.C + d.D) / 2
+        assert rep.direction is al.HopfDirection.SUBCRITICAL
+        assert _kuznetsov_l1(taylor_at(p, al.State(x8, x8))) == pytest.approx(13.75, abs=0.01)
 
     def test_off_critical_growth_rate_rejected(self):
         with pytest.raises(NotAWeakCenter):
