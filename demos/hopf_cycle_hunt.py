@@ -4,9 +4,9 @@ At q=1, h=0.12, m=0.1 the equilibrium (0.3, 0.3) becomes a weak center at
 s = 0.5.  The first Lyapunov coefficient is positive, so the bifurcation
 is subcritical: an unstable limit cycle coexists with the stable focus for
 s slightly above 0.5 and shrinks onto it as s decreases.  The orbit-level
-detector confirms both the side and the instability of the cycle (by
-finding it as an attractor of the time-reversed flow), and the amplitudes
-follow the square-root law.
+detector confirms both the side and the instability of the cycle (as a
+root of the one-turn return map that the map crosses rising), and the
+amplitudes follow the square-root law.
 """
 import math
 

@@ -3,8 +3,9 @@ black-box equilibrium classification.
 
 Everything here deliberately avoids the analytic machinery of the other
 modules (classification is inferred from orbits, time scales from a
-finite-difference Jacobian), so it can serve as an independent
-cross-check on the closed-form results.
+finite-difference Jacobian, a limit cycle is a root of the one-turn return
+map), so it can serve as an independent cross-check on the closed-form
+results.
 
 Integration uses the embedded Dormand-Prince 5(4) pair with per-step error
 control (`solve_ivp`), written for two components on Python floats: the
@@ -13,13 +14,14 @@ step-size controller, event location and `nfev` count follow the usual
 RK45 solver contract.  The predator equation is singular at x = 0, so every
 run carries a terminal "domain floor" event instead of ever evaluating 1/x
 at rounding-scale prey densities.  A run may take `MAX_STEPS` accepted
-steps; reversed flows are the same field integrated backward in time.
-The accuracy settings are fixed module constants: `integrate` runs at
-`RTOL`/`ATOL` with no step cap, a cycle hunt at the tighter `HUNT_RTOL`/
-`HUNT_ATOL` with steps of at most `HUNT_MAX_STEP`, and the probes of
-`classify_by_simulation` at `PROBE_RTOL`/`PROBE_ATOL`; callers choose only
-the horizon `t_max` (and a hunt's start offset).  Results are lists of
-Python floats: nothing here imports numpy.
+steps; the reversed flows of `classify_by_simulation` are the same field
+integrated backward in time.  The accuracy settings are fixed module
+constants: `integrate` runs at `RTOL`/`ATOL` with no step cap, each turn
+of a cycle hunt at the tighter `HUNT_RTOL`/`HUNT_ATOL` with steps of at
+most `HUNT_MAX_STEP`, and the probes of `classify_by_simulation` at
+`PROBE_RTOL`/`PROBE_ATOL`; callers choose only the horizon `t_max` (and a
+hunt's smallest radius).  Results are lists of Python floats: nothing here
+imports numpy.
 """
 from __future__ import annotations
 
@@ -53,6 +55,7 @@ RTOL, ATOL = 1e-8, 1e-10  # integrate's tolerances; its steps are uncapped
 # a cycle hunt's tolerances and step cap: its return map needs the tighter ones
 HUNT_RTOL, HUNT_ATOL, HUNT_MAX_STEP = 1e-10, 1e-12, 1.0
 PROBE_RTOL, PROBE_ATOL = 1e-9, 1e-13  # classify_by_simulation's probe runs
+_SCAN_RATIO = 1.5  # a cycle hunt scans start radii start_radius * 1.5**k
 
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Sec. II.5) with Shampine's
@@ -349,8 +352,10 @@ def _divergence_event():
 
 def _check_start(u0: State) -> None:
     """Reject a state off the domain: ValueError, or DomainViolation for y < 0."""
-    if not (u0.x > X_FLOOR and math.isfinite(u0.x) and math.isfinite(u0.y)):
-        raise ValueError(f"initial state ({u0.x}, {u0.y}) not admissible (x must exceed the floor)")
+    if not (math.isfinite(u0.x) and math.isfinite(u0.y)):
+        raise ValueError(f"state ({u0.x}, {u0.y}) not admissible: a coordinate is not finite")
+    if not u0.x > X_FLOOR:
+        raise ValueError(f"state ({u0.x}, {u0.y}) not admissible: x must exceed the floor {X_FLOOR}")
     if u0.y < 0:
         raise DomainViolation(f"predator density must be non-negative, got y = {u0.y}")
 
@@ -408,99 +413,38 @@ class CycleDetection:
     stability: CycleStability
 
 
-def _section_crossings(p: ModelParams, center: State, start: State, t_max: float,
-                       reverse: bool) -> tuple[list[float], list[float]]:
-    """Times and x-locations of oriented crossings of {y = yc, x > xc}.
+def _one_turn(p: ModelParams, center: State, r: float, orientation: float,
+              t_max: float) -> tuple[float, float] | None:
+    """One turn of the return map: (x, time) of the first crossing of
+    {y = yc, x > xc} in `orientation` (+1 rising) after leaving (xc + r, yc).
 
-    The crossing orientation is fixed to "upward for the forward flow";
-    reversed runs integrate backward in time (their times are negative) and
-    flip the event direction so they record the same geometric section.
-    Integration proceeds in windows and stops early once the return map has
-    converged (or clearly spiralled into the center), which keeps
-    long-horizon cycle hunts affordable.
+    The turn runs as two half-turns, each ended by the section line in one
+    orientation.  The section is zero at each half's start, where a
+    terminal event of the orbit's own orientation would fire at once, so
+    the first half ends at the crossing of the other orientation and the
+    second at the next one of the start's.  The return is undefined (None)
+    if the start is outside the capture ball or not a transversal crossing
+    in `orientation`, or if the orbit leaves the ball, reaches the domain
+    floor, returns at x <= xc or not within `t_max`.
     """
     rhs = _rhs(p)
-    sign = -1.0 if reverse else 1.0
-    # a probe that stays on the section (a center on y = 0) gives -1 in
-    # both time directions
-    rising = sign * rhs(0.0, (center.x + 1e-3, center.y))[1] > 0
-    yc = center.y
-    section = _event(lambda t, u: u[1] - yc, 1.0 if rising else -1.0, terminal=False)
-    events = [section, _floor_event(), _ball_event(center, CAPTURE_FRACTION * center.x, 1.0)]
-
-    times: list[float] = []
-    locs: list[float] = []
-    window = max(t_max / 8.0, 100.0)
-    t0 = 0.0
-    u = (start.x, start.y)
-    while t0 < t_max:
-        sol = solve_ivp(
-            rhs,
-            (sign * t0, sign * min(t0 + window, t_max)),
-            u,
-            rtol=HUNT_RTOL,
-            atol=HUNT_ATOL,
-            max_step=HUNT_MAX_STEP,
-            events=events,
-        )
-        for t, state in zip(sol.t_events[0], sol.y_events[0]):
-            # keep transversal crossings only; an orbit gliding inside the
-            # section itself (invariant axis) fires the event every step
-            if state[0] > center.x and abs(rhs(t, state)[1]) > 1e-10:
-                times.append(t)
-                locs.append(state[0])
-        if sol.status != 0:
-            break  # left the capture region or hit the domain floor
-        t0 = sign * sol.t[-1]
-        u = (sol.y[0][-1], sol.y[1][-1])
-        radii = [x - center.x for x in locs]
-        if _returns_converge(radii):
-            break
-        if len(radii) >= 12:
-            tail = radii[-12:]
-            d_last = abs(radii[-1] - radii[-2])
-            # monotone spiral toward the center, still far from any cycle:
-            # nothing to find inward of the start radius
-            if (all(b < a for a, b in zip(tail, tail[1:]))
-                    and radii[-1] < 0.2 * (start.x - center.x)
-                    and d_last > 1e-6):
-                break
-    return times, locs
-
-
-def _returns_converge(radii: list[float]) -> bool:
-    """Whether the return map's radii settle onto an attracting fixed radius.
-
-    Requires three successive return gaps below 1e-7 plus a certificate
-    that the radius itself is settling at a positive value: either the
-    gaps are negligible relative to the radius (stationary to solver
-    precision), or the tail contracts visibly and its geometric
-    extrapolation stays bounded away from zero.  A slow spiral into the
-    center also drives the gaps below any fixed threshold, but its
-    gap-to-radius ratio stays pinned at (1 - contraction factor), so both
-    certificates reject it.
-    """
-    if len(radii) < 5:
-        return False
-    r_4, r_3, r_2, r_last = radii[-4:]
-    delta = r_last - r_2
-    gap, gap_before = abs(delta), abs(r_2 - r_3)
-    if not (gap < 1e-7 and gap_before < 1e-7 and abs(r_3 - r_4) < 1e-7):
-        return False
-    if r_last <= 10.0 * HUNT_ATOL:
-        return False
-    if gap <= 1e-4 * r_last:
-        return True
-    if gap_before > 0:
-        ratio = gap / gap_before
-        if ratio < 0.99:
-            limit = r_last + delta * ratio / (1.0 - ratio)
-            return limit > 10.0 * HUNT_ATOL and limit > 0.5 * r_last
-    return False
+    xc, yc = center.x, center.y
+    ball = CAPTURE_FRACTION * xc
+    if not (r < ball and orientation * rhs(0.0, (xc + r, yc))[1] > 1e-10):
+        return None
+    stops = [_floor_event(), _ball_event(center, ball, 1.0)]
+    t, u = 0.0, (xc + r, yc)
+    for direction in (-orientation, orientation):
+        section = _event(lambda t, u: u[1] - yc, direction)
+        sol = solve_ivp(rhs, (t, t_max), u, rtol=HUNT_RTOL, atol=HUNT_ATOL,
+                        max_step=HUNT_MAX_STEP, events=[section, *stops])
+        if not sol.t_events[0]:
+            return None
+        t, u = sol.t_events[0][0], sol.y_events[0][0]
+    return (u[0], t) if u[0] > xc else None
 
 
 def _one_period(p: ModelParams, center: State, x_start: float, t_end: float) -> float:
-    # t_end is minus the period for a reversed flow
     sol = solve_ivp(_rhs(p), (0.0, t_end), (x_start, center.y), rtol=HUNT_RTOL,
                     atol=HUNT_ATOL, t_eval=_linspace(0.0, t_end, 2000))
     return max(math.hypot(x - center.x, y - center.y) for x, y in zip(*sol.y))
@@ -510,50 +454,73 @@ def detect_cycle(p: ModelParams, center: State, *, t_max: float = 6000.0,
                  start_radius: float = 1e-2) -> CycleDetection:
     """Look for a limit cycle around a focus-type equilibrium.
 
-    Strategy: record returns to the horizontal section through the center
-    (crossings with x > center.x, oriented with the forward flow).  If the
-    forward returns converge to a fixed positive radius the cycle is
-    attracting.  Otherwise the run is repeated with time reversed: an
-    attracting cycle of the reversed flow is a repelling cycle of the
-    forward flow.  Period comes from the final pair of crossing times,
-    amplitude is the maximum distance from the center over one period.
+    A cycle through (xc + r, yc) is a root of d(r) = P(r) - r, where P is
+    the one-turn return map to the section {y = yc, x > xc}, crossed in the
+    orientation the flow has at the start (Perko, Differential Equations
+    and Dynamical Systems, section 3.4).  The hunt scans r = start_radius *
+    1.5**k outward and stops at the first r where P is undefined: the orbit
+    leaves the capture ball, reaches the domain floor or does not return
+    within `t_max`, so that start lies outside every cycle inside the ball.
+    The first sign change of d is refined by Illinois regula falsi until
+    the bracket is within the hunt's accuracy at the section; d falling
+    through zero means an attracting cycle, d rising a repelling one.  The
+    period is the time of the final turn, the amplitude the largest
+    distance from the center over one period from its start, and
+    `section_crossings` lists P(r) (an x) for every turn computed.  With no
+    sign change the result is Inconclusive.
 
-    The hunt starts `start_radius` to the right of the center and stays
-    local: an orbit that leaves the ball of radius `CAPTURE_FRACTION` times
-    the center's distance to the singular axis x = 0, or reaches the
-    domain floor, ends its half of the search.  Each half runs for at most
+    The capture ball has radius `CAPTURE_FRACTION` times the center's x,
+    the distance to the singular axis x = 0.  Each turn runs for at most
     `t_max`, at the hunt's fixed accuracy `HUNT_RTOL`, `HUNT_ATOL` and
-    `HUNT_MAX_STEP`.  The start must lie in the domain, as for `integrate`.
+    `HUNT_MAX_STEP`.  The start must lie in the domain, as for `integrate`;
+    where the flow does not cross the section there transversally, the
+    hunt raises NoCrossings.
     """
     start = State(center.x + start_radius, center.y)
     _check_run(start, t_max)
-    any_crossings = False
-    forward_crossings: list[float] = []
-    for reverse, stability in ((False, CycleStability.ATTRACTING),
-                               (True, CycleStability.REPELLING)):
-        te, xe = _section_crossings(p, center, start, t_max, reverse)
-        any_crossings = any_crossings or len(te) > 0
-        if _returns_converge([x - center.x for x in xe]):
-            t_end = te[-1] - te[-2]
-            amplitude = _one_period(p, center, xe[-1], t_end)
-            return CycleDetection(
-                found=True,
-                period=abs(t_end),
-                amplitude=amplitude,
-                section_crossings=xe,
-                stability=stability,
-            )
-        if reverse is False:
-            forward_crossings = xe
-    if not any_crossings:
-        raise NoCrossings("orbit never returned to the section through the center")
-    return CycleDetection(
-        found=False,
-        period=None,
-        amplitude=None,
-        section_crossings=forward_crossings,
-        stability=CycleStability.INCONCLUSIVE,
-    )
+    f2 = _rhs(p)(0.0, (start.x, start.y))[1]
+    if abs(f2) <= 1e-10:
+        raise NoCrossings("orbit does not cross the section through the center transversally")
+    orientation = math.copysign(1.0, f2)
+    crossings: list[float] = []
+
+    def gap(r: float) -> tuple[float, float] | None:
+        # d(r) and the turn's time, or None where P(r) is undefined
+        turn = _one_turn(p, center, r, orientation, t_max)
+        if turn is None:
+            return None
+        crossings.append(turn[0])
+        return turn[0] - center.x - r, turn[1]
+
+    def inconclusive() -> CycleDetection:
+        return CycleDetection(found=False, period=None, amplitude=None,
+                              section_crossings=crossings,
+                              stability=CycleStability.INCONCLUSIVE)
+
+    r_a = d_a = None
+    r_b = start_radius
+    while True:
+        turn = gap(r_b)
+        if turn is None:
+            return inconclusive()
+        d_b, period = turn
+        if d_a is not None and (d_a < 0) != (d_b < 0):
+            break
+        r_a, d_a, r_b = r_b, d_b, r_b * _SCAN_RATIO
+    stability = CycleStability.REPELLING if d_a < 0 else CycleStability.ATTRACTING
+    while d_b != 0 and abs(r_b - r_a) > HUNT_ATOL + HUNT_RTOL * (center.x + r_b):
+        r = r_b - d_b * (r_b - r_a) / (d_b - d_a)
+        turn = gap(r)
+        if turn is None:
+            return inconclusive()
+        if (turn[0] < 0) != (d_b < 0):
+            r_a, d_a = r_b, d_b
+        else:
+            d_a /= 2  # Illinois: halve the end kept twice
+        r_b, (d_b, period) = r, turn
+    return CycleDetection(found=True, period=period,
+                          amplitude=_one_period(p, center, center.x + r_b, period),
+                          section_crossings=crossings, stability=stability)
 
 
 class SimVerdict(enum.Enum):

@@ -290,15 +290,15 @@ def test_criterion_5_runtime(hopf_cycles):
 
 
 def test_criterion_5_6_oracle_verdicts_pinned(hopf_cycles):
-    # the oracle's answers at the criterion-5/6 points, as the scipy-backed
-    # integrator gave them; the float stepper differs only at rounding level
+    # the oracle's answers at the criterion-5/6 points: each period and
+    # amplitude is the return-map root's, n_crossings the turns it took
     q, h, m = 1.0, 0.12, 0.1
     s2 = hopf_cycles["s2"]
     expected = {
-        0.01: (True, 44.86328716037224, 0.02504172770991913, 118, "Inconclusive"),
-        0.02: (True, 45.33293667817861, 0.03570415202619002, 84, "StableFocus"),
-        0.04: (True, 46.395225397277954, 0.05115806700944017, 50, "StableFocus"),
-        -0.02: (False, None, None, 11, "UnstableFocus"),
+        0.01: (True, 44.86334911602407, 0.02504249493939868, 11, "Inconclusive"),
+        0.02: (True, 45.33293870917754, 0.03570416764861736, 13, "StableFocus"),
+        0.04: (True, 46.395225569248986, 0.051158067701441504, 14, "StableFocus"),
+        -0.02: (False, None, None, 4, "UnstableFocus"),
     }
     detections = {**hopf_cycles["detections"], -0.02: hopf_cycles["off_side"]}
     for delta, (found, period, amplitude, n_crossings, e8_verdict) in expected.items():

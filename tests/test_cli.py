@@ -165,8 +165,7 @@ class TestBT:
     @example(45.33, 2000)  # a cycle's amplitude samples of one 45.33 period
     def test_grid_values_equal_numpy_linspace(self, box, n):
         # bt_grid5.json pins the grid's eta values, which np.linspace gave;
-        # detect_cycle samples one period from 0 to t_end, which a reversed
-        # flow makes negative
+        # detect_cycle samples one period from 0 to t_end
         for lo, hi in ((-box, box), (0.0, box), (0.0, -box)):
             with np.errstate(all="ignore"):  # 2 * box may overflow on both routes
                 expected = np.linspace(lo, hi, n).tolist()

@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 import allee_lab as al
 import allee_lab.dynamics as dynamics
 from allee_lab.errors import DomainViolation, NoCrossings
+from allee_lab.model import _field
 from helpers import random_params, random_state, sim_agrees
 
 SC = al.StabilityClass
@@ -59,7 +60,7 @@ class TestIntegrate:
             al.integrate(p, al.State(0.0, 0.1))
 
     def test_infinite_horizon_rejected(self):
-        # integrate and detect_cycle's window loop would never reach it
+        # integrate would never reach it, nor a hunt's turn that never returns
         p = al.ModelParams(q=1, s=0.52, h=0.12, m=0.1)
         with pytest.raises(ValueError, match="t_max must be finite"):
             al.integrate(p, al.State(0.5, 0.4), t_max=math.inf)
@@ -82,6 +83,18 @@ class TestIntegrate:
         with pytest.raises(TypeError):
             al.detect_cycle(p, al.State(0.3, 0.3), 10.0)
 
+    @pytest.mark.parametrize("start, reason", [
+        ((0.3, math.inf), "a coordinate is not finite"),
+        ((math.nan, 0.3), "a coordinate is not finite"),
+        ((-math.inf, 0.3), "a coordinate is not finite"),
+        ((0.0, 0.3), "x must exceed the floor"),
+        ((dynamics.X_FLOOR, math.inf), "a coordinate is not finite"),
+    ])
+    def test_inadmissible_start_names_its_fault(self, start, reason):
+        p = al.ModelParams(q=1, s=1, h=0.1, m=0.2)
+        with pytest.raises(ValueError, match=f"not admissible: {reason}"):
+            al.integrate(p, al.State(*start))
+
     def test_negative_predator_start_rejected(self):
         p = al.ModelParams(q=1, s=1, h=0.1, m=0.2)
         with pytest.raises(DomainViolation, match="got y = -0.001"):
@@ -102,7 +115,7 @@ class TestIntegrate:
         al.integrate(p, al.State(0.7, 0.0), t_max=10.0)
         assert calls == [(0.0, 10.0)]
         al.detect_cycle(al.ModelParams(q=1, s=1.0, h=0.12, m=0.1), al.State(0.3, 0.3))
-        assert len(calls) > 2  # the integrate run and at least two section windows
+        assert len(calls) > 2  # the integrate run and both half-turns of a first turn
 
 
 class TestIntegratorAccuracy:
@@ -249,6 +262,53 @@ class TestDetectCycle:
         p = al.ModelParams(q=q, s=s2 - 0.0025, h=h, m=m)
         det = al.detect_cycle(p, al.State(x8, x8), t_max=20000.0, start_radius=2e-3)
         assert not det.found
+
+    @pytest.mark.parametrize("delta, start_radius", [(0.005, 1e-2), (0.002, 5e-3), (0.001, 2e-3)])
+    def test_cycle_close_to_the_hopf_point_is_found(self, delta, start_radius):
+        # the cycle's radius shrinks like sqrt(delta) and its turns drift by
+        # about 1e-4 of the radius: a root of P(r) - r all the same
+        s2 = al.hopf_critical_s(al.ModelParams(q=1, s=1.0, h=0.12, m=0.1), "E8")
+        p = al.ModelParams(q=1, s=s2 + delta, h=0.12, m=0.1)
+        det = al.detect_cycle(p, al.State(0.3, 0.3), start_radius=start_radius)
+        assert det.found
+        assert det.stability is al.CycleStability.REPELLING
+
+    @pytest.mark.parametrize("delta", [0.01, 0.02, 0.04])
+    def test_period_agrees_with_a_tight_tolerance_hunt(self, monkeypatch, delta):
+        q, h, m = 1.0, 0.12, 0.1
+        s2 = al.hopf_critical_s(al.ModelParams(q=q, s=1.0, h=h, m=m), "E8")
+        p = al.ModelParams(q=q, s=s2 + delta, h=h, m=m)
+        period = al.detect_cycle(p, al.State(0.3, 0.3)).period
+        monkeypatch.setattr(dynamics, "HUNT_RTOL", 1e-13)
+        monkeypatch.setattr(dynamics, "HUNT_ATOL", 1e-15)
+        reference = al.detect_cycle(p, al.State(0.3, 0.3)).period
+        assert period == pytest.approx(reference, rel=2e-9, abs=0)
+
+    @pytest.mark.parametrize("delta", [0.01, 0.02, 0.04])
+    def test_reported_cycle_closes_after_one_period(self, delta):
+        # scipy's DOP853 at rtol 1e-13 carries the last return once around;
+        # 5e-10 is about 15 times the hunt's accuracy at the section
+        q, h, m = 1.0, 0.12, 0.1
+        s2 = al.hopf_critical_s(al.ModelParams(q=q, s=1.0, h=h, m=m), "E8")
+        p = al.ModelParams(q=q, s=s2 + delta, h=h, m=m)
+        det = al.detect_cycle(p, al.State(0.3, 0.3))
+        x0 = det.section_crossings[-1]
+        sol = scipy_solve_ivp(lambda t, u: _field(q, p.s, h, m, u[0], u[1]), (0.0, det.period),
+                              [x0, 0.3], method="DOP853", rtol=1e-13, atol=1e-15)
+        assert math.hypot(sol.y[0][-1] - x0, sol.y[1][-1] - 0.3) <= 5e-10
+
+    def test_supercritical_side_has_attracting_cycle(self):
+        # sigma < 0 here: the stable cycle lives where the focus is unstable
+        q, h, m = 3.0, 0.0403, 0.01
+        s2 = al.hopf_critical_s(al.ModelParams(q=q, s=1.0, h=h, m=m), "E8")
+        rep = al.first_lyapunov_coefficient(al.ModelParams(q=q, s=s2, h=h, m=m), "E8")
+        assert rep.direction is al.HopfDirection.SUPERCRITICAL
+        d = al.discriminants(al.ModelParams(q=q, s=1.0, h=h, m=m))
+        x8 = (d.C + d.D) / 2
+        det = al.detect_cycle(al.ModelParams(q=q, s=0.95 * s2, h=h, m=m), al.State(x8, x8))
+        assert det.found
+        assert det.stability is al.CycleStability.ATTRACTING
+        assert det.period == pytest.approx(174.0, abs=0.05)
 
     def test_no_crossings_off_the_rotating_regime(self):
         # section through a boundary equilibrium lies in the invariant axis:
