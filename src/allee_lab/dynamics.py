@@ -472,12 +472,15 @@ def detect_cycle(p: ModelParams, center: State, *, t_max: float = 6000.0,
     The capture ball has radius `CAPTURE_FRACTION` times the center's x,
     the distance to the singular axis x = 0.  Each turn runs for at most
     `t_max`, at the hunt's fixed accuracy `HUNT_RTOL`, `HUNT_ATOL` and
-    `HUNT_MAX_STEP`.  The start must lie in the domain, as for `integrate`;
-    where the flow does not cross the section there transversally, the
-    hunt raises NoCrossings.
+    `HUNT_MAX_STEP`.  The start must lie in the domain, as for `integrate`,
+    and `start_radius` must be positive (else ValueError); where the flow
+    does not cross the section there transversally, the hunt raises
+    NoCrossings.
     """
     start = State(center.x + start_radius, center.y)
     _check_run(start, t_max)
+    if not start_radius > 0:
+        raise ValueError("start_radius must be positive")
     f2 = _rhs(p)(0.0, (start.x, start.y))[1]
     if abs(f2) <= 1e-10:
         raise NoCrossings("orbit does not cross the section through the center transversally")

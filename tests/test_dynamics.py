@@ -326,6 +326,9 @@ class TestDetectCycle:
             al.detect_cycle(p, al.State(-1e-2, 0.3))
         with pytest.raises(ValueError, match="not admissible"):
             al.detect_cycle(p, al.State(0.3, 0.3), start_radius=dynamics.X_FLOOR - 0.3)
+        # a scan outward from the center needs a positive smallest radius
+        with pytest.raises(ValueError, match="start_radius must be positive"):
+            al.detect_cycle(p, al.State(0.3, 0.3), start_radius=-1e-2)
 
 
 class TestClassifyBySimulation:
