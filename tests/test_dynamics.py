@@ -252,9 +252,9 @@ class TestDetectCycle:
             is al.TerminalReason.CONVERGED_TO_POINT
 
     def test_slow_spiral_is_not_mistaken_for_a_cycle(self):
-        # weakly attracting spiral (reversed flow of a barely unstable
-        # focus): return gaps drop below any fixed threshold while the
-        # radius drains away; the detector must not certify a cycle
+        # barely unstable focus: a turn near it gains about 0.3 % of its
+        # radius, and P(r) - r stays positive out to the capture ball; the
+        # detector must not certify a cycle
         q, h, m = 5.450519520124454, 0.029265849461677693, 0.011600508779215722
         s2 = al.hopf_critical_s(al.ModelParams(q=q, s=1.0, h=h, m=m), "E8")
         d = al.discriminants(al.ModelParams(q=q, s=1.0, h=h, m=m))
