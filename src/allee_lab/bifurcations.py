@@ -312,11 +312,11 @@ def _check_cusp_base(p: ModelParams) -> ModelParams:
     return base
 
 
-def _ladder(p_base: ModelParams, h3: float, s1: float, eta: tuple[float, float]) -> tuple[dict, bool]:
-    """Run the coefficient chain once; returns (stages, mirrored)."""
-    q, m = p_base.q, p_base.m
-    x7 = 2.0 * h3
-    p = ModelParams(q=q, s=s1 + eta[1], h=h3 + eta[0], m=m)
+def _ladder(base: ModelParams, eta: tuple[float, float]) -> tuple[dict, bool]:
+    """Run the coefficient chain once at base, the exact cusp point, moved
+    by eta; returns (stages, mirrored)."""
+    x7 = 2.0 * base.h
+    p = ModelParams(q=base.q, s=base.s + eta[1], h=base.h + eta[0], m=base.m)
     t = taylor_at(p, State(x7, x7))
     a = {"00": t.a00, "10": t.a10, "01": t.a01, "20": t.a20, "11": t.a11, "02": t.a02}
     b = {"00": t.b00, "10": t.b10, "01": t.b01, "20": t.b20, "11": t.b11, "02": t.b02}
@@ -418,8 +418,8 @@ def _unfolding_jacobian_det(q: float, m: float, jac_step: float) -> float:
     p_base = cusp_base_params(q, m)
 
     def l_column(d1: float, d2: float) -> tuple[float, float]:
-        plus, _ = _ladder(p_base, p_base.h, p_base.s, (d1, d2))
-        minus, _ = _ladder(p_base, p_base.h, p_base.s, (-d1, -d2))
+        plus, _ = _ladder(p_base, (d1, d2))
+        minus, _ = _ladder(p_base, (-d1, -d2))
         return tuple((plus["l"][k] - minus["l"][k]) / (2.0 * jac_step) for k in ("00", "01"))
 
     (a, c), (b, d) = l_column(jac_step, 0.0), l_column(0.0, jac_step)
@@ -444,7 +444,7 @@ def bt_normal_form(
     if math.hypot(*eta) > 1e-2:
         raise ValueError(f"perturbation {eta} too large; the chain is local (|eta| <= 1e-2)")
 
-    stages, mirrored = _ladder(p_base, base.h, base.s, eta)
+    stages, mirrored = _ladder(base, eta)
     jac_det = _unfolding_jacobian_det(p_base.q, p_base.m, jac_step)
 
     return BTReport(

@@ -9,8 +9,10 @@ Subcommands:
     sweep      one-parameter grid, counts/classes per point (CSV)
 
 Exit codes: 0 success, 2 invalid input or contract violation, 3 internal
-numerical failure.  A flat `key = value` config file can supply defaults
-for any flag; explicit flags win.
+numerical failure.  `--config FILE` reads a flat `key = value` file (`#`
+comments, `-` or `_` in keys).  A key naming a flag of the subcommand is
+parsed as `--key=value` ahead of the command line, so it is typed and
+checked exactly as that flag and explicit flags win; other keys are ignored.
 """
 from __future__ import annotations
 
@@ -44,33 +46,15 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    values = _read_config(args.config)
-    for key, raw in values.items():
-        if not hasattr(args, key) or getattr(args, key) is not None:
-            continue  # unknown keys ignored, explicit flags win
-        try:
-            setattr(args, key, type_of_flag(key)(raw))
-        except ValueError as err:
-            raise AlleeLabError(f"config value {key} = {raw!r} invalid: {err}") from None
-
-
-_INT_FLAGS = {"steps", "grid"}
-_STR_FLAGS = {"parameter", "which", "out"}
-
-
-def type_of_flag(name: str):
-    if name in _INT_FLAGS:
-        return int
-    if name in _STR_FLAGS:
-        return str
-    return float
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The config file's lines as `--key=value` flags of args' subcommand."""
+    return [f"--{key.replace('_', '-')}={value}"
+            for key, value in _read_config(args.config).items()
+            if key in vars(args) and key not in ("command", "config")]
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text, encoding="utf-8", newline="\n")
     else:
         sys.stdout.write(text)
@@ -83,28 +67,18 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise AlleeLabError(f"missing required value(s): {flags}")
 
 
-def _check_format(args: argparse.Namespace, native: str) -> None:
-    requested = getattr(args, "fmt", None)
-    if requested is not None and requested != native:
-        raise AlleeLabError(
-            f"this subcommand emits {native} only; --{requested} is not available"
-        )
-
-
 def _params(args: argparse.Namespace) -> ModelParams:
     _require(args, "q", "s", "h", "m")
     return ModelParams(q=args.q, s=args.s, h=args.h, m=args.m)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    _check_format(args, "json")
     report = reporting.analysis_report(_params(args))
     _emit(args, dumps_canonical(report))
     return 0
 
 
 def _cmd_hopf(args: argparse.Namespace) -> int:
-    _check_format(args, "json")
     _require(args, "q", "h", "m")
     if args.s is None:
         probe = ModelParams(q=args.q, s=1.0, h=args.h, m=args.m)  # s ignored by the solver
@@ -118,7 +92,6 @@ def _cmd_hopf(args: argparse.Namespace) -> int:
 
 
 def _cmd_bt(args: argparse.Namespace) -> int:
-    _check_format(args, "json")
     _require(args, "q", "m")
     if args.grid is not None:
         given = [flag for flag, value in (("--eta1", args.eta1), ("--eta2", args.eta2))
@@ -154,7 +127,6 @@ def _cmd_bt(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    _check_format(args, "csv")
     p = _params(args)
     _require(args, "x0", "y0")
     traj = integrate(p, State(args.x0, args.y0),
@@ -164,7 +136,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _check_format(args, "csv")
     _require(args, "parameter", "lo", "hi", "steps")
     fixed = {}
     for name in ("q", "s", "h", "m"):
@@ -187,9 +158,6 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m", type=float, help="Allee threshold, in (0, 1)")
     sub.add_argument("--config", help="flat key = value file supplying defaults")
     sub.add_argument("--out", help="write output to this path instead of stdout")
-    fmt = sub.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
-    fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv")
 
 
 @functools.cache
@@ -232,9 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            # argparse keeps a flag's last occurrence, so the explicit flags win
+            explicit = argv[argv.index(args.command) + 1:]
+            args = parser.parse_args([args.command, *_config_flags(args), *explicit])
         # looked up at call time: the parser is shared, the handlers may be replaced
         return globals()[f"_cmd_{args.command}"](args)
     except ArithmeticError as err:

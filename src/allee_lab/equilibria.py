@@ -265,10 +265,16 @@ def _s_trace_zero(q, m, x):
     return (2.0 * x + q * x - 1.0) / (m - x)
 
 
+def _relative_disc(root_sum, root_prod, disc, maximum=max):
+    # disc = root_sum^2 - 4*root_prod has the size of root_sum^2 or of
+    # root_prod; elementwise on arrays with maximum=np.maximum
+    return disc / maximum(maximum(1.0, root_sum * root_sum), root_prod)
+
+
 def _roots(root_sum: float, root_prod: float, disc: float) -> tuple[float, ...]:
     """Roots of x^2 - root_sum*x + root_prod = 0 with discriminant disc: none,
     the fold's double root, or the pair, larger root first."""
-    rel = disc / max(1.0, root_sum * root_sum, root_prod * root_prod)
+    rel = _relative_disc(root_sum, root_prod, disc)
     if abs(rel) <= DISCRIMINANT_RTOL:
         return (0.5 * root_sum,)
     if rel < 0:
@@ -549,7 +555,7 @@ def portrait_batch(q, s, h, m) -> PortraitBatch:
         xs, ys, present, counts = [], [], [], {}
         for branch, (root_sum, root_prod, disc), line in zip(Branch, quadratics, (0.0, m, None)):
             admissible = root_sum > 0
-            rel = disc / np.maximum(np.maximum(1.0, root_sum * root_sum), root_prod * root_prod)
+            rel = _relative_disc(root_sum, root_prod, disc, np.maximum)
             undecided |= (admissible & (np.abs(rel) <= BATCH_MARGIN * DISCRIMINANT_RTOL))[:, 0]
             exists = admissible & (rel > DISCRIMINANT_RTOL)
             counts[branch] = np.where(exists, 2, 0)[:, 0]

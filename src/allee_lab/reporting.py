@@ -124,10 +124,6 @@ def dumps_canonical(obj) -> str:
     return "".join(parts)
 
 
-def _num(x: float | None):
-    return None if x is None else float(x)
-
-
 def params_dict(p: ModelParams) -> dict:
     return {"q": p.q, "s": p.s, "h": p.h, "m": p.m}
 
@@ -141,9 +137,9 @@ def _thresholds_dict(t: eq.Thresholds) -> dict:
         "h1": t.h1,
         "h2": t.h2,
         "h3": t.h3,
-        "s1": _num(t.s1),
-        "s2": _num(t.s2),
-        "s3": _num(t.s3),
+        "s1": t.s1,
+        "s2": t.s2,
+        "s3": t.s3,
         "absent": dict(sorted(t.absent.items())),
     }
 

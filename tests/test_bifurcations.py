@@ -295,7 +295,7 @@ class TestBTNormalForm:
         # must carry exactly the value a fresh central difference gives
         def fresh_jac_det(p, step):
             def l_pair(e1, e2):
-                st, _ = bifurcations._ladder(p, p.h, p.s, (e1, e2))
+                st, _ = bifurcations._ladder(p, (e1, e2))
                 return np.array([st["l"]["00"], st["l"]["01"]])
 
             jac = np.zeros((2, 2))

@@ -96,6 +96,19 @@ class TestAnalyze:
         res = run_cli("analyze", "--q", "1", "--s", "1", "--h", "0.21", "--m", "0.2")
         assert dumps_canonical(json.loads(res.stdout)) == res.stdout
 
+    @pytest.mark.parametrize("h", ["5e10", "1e11", "1e200"])
+    def test_harvest_past_every_fold_has_no_equilibria(self, capsys, h):
+        # the discriminant has the size of the root product here, so no
+        # fold band reaches it
+        assert main(["analyze", "--q=1", "--s=1", f"--h={h}", "--m=0.2"]) == 0
+        assert json.loads(capsys.readouterr().out)["equilibria"] == []
+
+    @pytest.mark.parametrize("argv", [["analyze", "--json"], ["sweep", "--csv"]])
+    def test_format_flags_are_unknown(self, argv):
+        res = run_cli(*argv)
+        assert res.returncode == 2
+        assert "unrecognized arguments: " + argv[1] in res.stderr
+
 
 class TestHopf:
     def test_auto_solved_critical_growth_rate(self):
@@ -443,6 +456,38 @@ class TestConfigFile:
         cfg.write_text("q 1\n")
         res = run_cli("analyze", "--config", str(cfg), "--s", "1", "--h", "0.2", "--m", "0.2")
         assert res.returncode == 2
+
+    # a bad value gives argparse's usage message naming the flag, exit 2
+    @pytest.mark.parametrize("argv, config, flags, code", [
+        (["sweep", "--parameter=h", "--lo=0.2", "--hi=0.3", "--q=1", "--s=1", "--m=0.2"],
+         "steps = 5", ["--steps", "5"], 0),
+        (["sweep", "--lo=0.2", "--hi=0.3", "--steps=5", "--q=1", "--s=1", "--m=0.2"],
+         "parameter = h", ["--parameter", "h"], 0),
+        (["analyze", "--q=1", "--s=1", "--h=0.21", "--m=0.2"], "out = {out}", ["--out", "{out}"], 0),
+        (["bt", "--q=1", "--m=0.1", "--grid=3"], "eta-box = 2e-3", ["--eta-box", "2e-3"], 0),
+        # E9's critical growth rate is negative here, E8's differs
+        (["hopf"], "q = 1\nh = 0.1\nm = 0.3\nwhich = E9",
+         ["--q=1", "--h=0.1", "--m=0.3", "--which=E9"], 2),
+        (["analyze", "--q=1", "--s=1", "--h=0.21", "--m=0.2"], "colour = blue", [], 0),
+        (["analyze", "--q=1", "--s=1", "--h=0.21", "--m=0.2"], "h = 0.25", [], 0),
+        (["analyze", "--s=1", "--h=0.21", "--m=0.2"], "q = abc", ["--q", "abc"], 2),
+        (["hopf", "--q=1", "--h=0.1", "--m=0.3"], "which = E7", ["--which", "E7"], 2),
+    ], ids=["int", "str", "out", "dashed-key", "which", "unknown-key", "flag-wins",
+            "bad-value", "bad-choice"])
+    def test_config_line_acts_as_its_flag(self, tmp_path, argv, config, flags, code):
+        out = tmp_path / "out.json"
+
+        def outcome(*args):
+            res = run_cli(*(a.format(out=out) for a in args))
+            written = out.read_text(encoding="utf-8") if out.exists() else None
+            out.unlink(missing_ok=True)
+            return res.returncode, res.stdout, res.stderr, written
+
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text(config.format(out=out) + "\n", encoding="utf-8")
+        via_config = outcome(*argv, "--config", str(cfg))
+        assert via_config == outcome(*argv, *flags)
+        assert via_config[0] == code
 
     @pytest.mark.parametrize("flag, path", [
         ("--config", "missing.cfg"), ("--config", "."), ("--out", "no/such/dir/x.json"),

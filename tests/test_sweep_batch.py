@@ -5,7 +5,7 @@ per column and sends the points it leaves undecided through `_sweep_row`,
 the scalar path that builds one `full_portrait` per point.  Every cell must
 equal the scalar row's, on seeded random grids and on grids with points
 tight on the folds h1, h2, h3 and the Allee-line fold, the cusp s1, the Hopf
-surfaces s2 and s3, and harvests down to 1e-300.
+surfaces s2 and s3, and harvests from 1e-300 to 1e200.
 """
 from __future__ import annotations
 
@@ -62,6 +62,13 @@ TINY_HARVESTS = [
     SweepSpec("h", 1e-300, 0.3, 40, {"q": 1.0, "s": 1.0, "m": 0.2}),
 ]
 
+# harvests past every fold, where the discriminant has the size of the
+# root product: no branch has a root and no row may be skipped
+LARGE_HARVESTS = [
+    SweepSpec("h", 1e10, 1e11, 40, {"q": 1.0, "s": 1.0, "m": 0.2}),
+    SweepSpec("h", 1e11, 1e200, 40, {"q": 3.0, "s": 0.5, "m": 0.7}),
+]
+
 
 def _transposed(rows: list[dict]) -> dict[str, list]:
     return {name: [row[name] for row in rows] for name in SWEEP_COLUMNS}
@@ -82,13 +89,15 @@ def fallbacks(monkeypatch) -> list[float]:
 
 def test_batch_rows_equal_scalar_rows(fallbacks):
     points, off_fold, off_fold_fallbacks = 0, 0, 0
-    for spec in _specs(20261018) + TINY_HARVESTS:
+    for spec in _specs(20261018) + TINY_HARVESTS + LARGE_HARVESTS:
         before = len(fallbacks)
         scalar = _transposed([_sweep_row(spec, v) for v in spec.grid()])
         columns = run_sweep(spec)
         assert list(columns) == list(SWEEP_COLUMNS), spec
         assert columns == scalar, spec
         assert sweep_csv(columns) == sweep_csv(scalar), spec
+        if spec in LARGE_HARVESTS:
+            assert not any(columns["skipped"]), spec
         points += spec.steps
         if spec.fixed.get("h") != 1.0 / (4.0 * (spec.fixed.get("q", 0.0) + 1.0)):
             off_fold += spec.steps
