@@ -19,10 +19,11 @@ the normal-form checks and Sotomayor's test all read its record, and
 tolerance of the closed forms is named in the table below.
 
 `portrait_batch` computes the same quantities for many parameter points at
-once as numpy arrays, and marks the points it cannot decide as exactly as
-the scalar path (folds, merges, tolerance-band edges) for that path.  It
-and its eigenvalue check are the only functions here that import numpy;
-the scalar path runs on floats.
+once as numpy arrays, and leaves the points it cannot decide exactly as the
+scalar path does (folds, merges, tolerance-band edges) to that path.  The
+branch roots, the degeneracy bands and the eigenvalue sign rules are each
+one arithmetic-only kernel that both paths call, with `xp=numpy` for arrays
+and `xp=FLOATS` for floats; only `portrait_batch` imports numpy.
 """
 from __future__ import annotations
 
@@ -97,6 +98,18 @@ SURFACE_RTOL = 1e-9
 # residual (np.hypot against math.hypot) does not, so rows near a band edge
 # are left to the scalar path
 BATCH_MARGIN = 4.0
+
+
+class FLOATS:
+    """numpy's `maximum`, `sqrt` and `where` for floats: the `xp` argument of
+    a helper that serves floats and arrays (numpy itself for arrays)."""
+
+    maximum = max
+    sqrt = math.sqrt
+
+    @staticmethod
+    def where(condition, x, y):
+        return x if condition else y
 
 
 class Branch(enum.Enum):
@@ -189,7 +202,7 @@ class Thresholds:
 
 class Linearization(NamedTuple):
     """Trace, determinant, eigenvalue discriminant and Frobenius norm of a
-    Jacobian, and the DEGENERACY_RTOL bands they fall in."""
+    Jacobian (floats or arrays), and whether the first three are in their bands."""
 
     tr: float
     det: float
@@ -197,7 +210,20 @@ class Linearization(NamedTuple):
     norm: float
     det_zero: bool
     tr_zero: bool
-    real: bool  # disc > 0 or inside its band: a node, not a focus
+    disc_zero: bool
+
+
+def _linearization(a, b, c, d, margin=1.0, xp=FLOATS) -> Linearization:
+    # the Jacobian [[a, b], [c, d]]; portrait_batch widens the bands by margin
+    norm = xp.sqrt(a * a + b * b + c * c + d * d)
+    tr = a + d
+    det = a * d - b * c
+    disc = tr * tr - 4.0 * det
+    rtol = margin * DEGENERACY_RTOL
+    band = rtol * xp.maximum(norm * norm, NORM_FLOOR)
+    return Linearization(tr, det, disc, norm, det_zero=abs(det) <= band,
+                         tr_zero=abs(tr) <= rtol * xp.maximum(norm, NORM_FLOOR),
+                         disc_zero=abs(disc) <= band)
 
 
 def linearize(t: TaylorCoefficients) -> Linearization:
@@ -206,19 +232,11 @@ def linearize(t: TaylorCoefficients) -> Linearization:
     Raises NotRepresentable when the squared norm is not finite: an entry
     overflows or is NaN, and no band means anything then.
     """
-    a, b, c, e = t.a10, t.a01, t.b10, t.b01
-    norm = math.sqrt(a * a + b * b + c * c + e * e)
-    if not math.isfinite(norm * norm):
-        raise NotRepresentable(
-            f"linearisation [[{a}, {b}], [{c}, {e}]] is not representable in double precision"
-        )
-    tr = a + e
-    det = a * e - b * c
-    disc = tr * tr - 4.0 * det
-    band = DEGENERACY_RTOL * max(norm * norm, NORM_FLOOR)
-    return Linearization(tr, det, disc, norm, det_zero=abs(det) <= band,
-                         tr_zero=abs(tr) <= DEGENERACY_RTOL * max(norm, NORM_FLOOR),
-                         real=abs(disc) <= band or disc > 0)
+    lin = _linearization(t.a10, t.a01, t.b10, t.b01)
+    if not math.isfinite(lin.norm * lin.norm):
+        raise NotRepresentable(f"linearisation [[{t.a10}, {t.a01}], [{t.b10}, {t.b01}]] "
+                               "is not representable in double precision")
+    return lin
 
 
 def _linearize_at(t: TaylorCoefficients, label: str, u: State) -> Linearization:
@@ -265,10 +283,9 @@ def _s_trace_zero(q, m, x):
     return (2.0 * x + q * x - 1.0) / (m - x)
 
 
-def _relative_disc(root_sum, root_prod, disc, maximum=max):
-    # disc = root_sum^2 - 4*root_prod has the size of root_sum^2 or of
-    # root_prod; elementwise on arrays with maximum=np.maximum
-    return disc / maximum(maximum(1.0, root_sum * root_sum), root_prod)
+def _relative_disc(root_sum, root_prod, disc, xp=FLOATS):
+    # disc = root_sum^2 - 4*root_prod has the size of root_sum^2 or of root_prod
+    return disc / xp.maximum(xp.maximum(1.0, root_sum * root_sum), root_prod)
 
 
 def _roots(root_sum: float, root_prod: float, disc: float) -> tuple[float, ...]:
@@ -385,7 +402,7 @@ def _classify(p: ModelParams, u: State, label: str,
         result = StabilityClass.SADDLE
     elif lin.tr_zero:
         result = StabilityClass.WEAK_CENTER
-    elif lin.real:
+    elif lin.disc_zero or lin.disc > 0:
         result = StabilityClass.STABLE_NODE if lin.tr < 0 else StabilityClass.UNSTABLE_NODE
     else:
         result = StabilityClass.STABLE_FOCUS if lin.tr < 0 else StabilityClass.UNSTABLE_FOCUS
@@ -394,43 +411,43 @@ def _classify(p: ModelParams, u: State, label: str,
     return lin, result
 
 
-def _eigen_closed_form(a, b, c, d, k):
-    """(mid, rad) with the eigenvalues of [[a, b], [c, d]] / k equal to
-    mid +- sqrt(rad): (a+d)/2 +- sqrt(((a-d)/2)^2 + b*c).
-
-    The independent route of the eigenvalue cross-check, which reads
-    neither the bands nor tr^2 - 4 det; k is the Jacobian's norm (1 for a
-    zero Jacobian), so the squares stay finite.  Arithmetic only, so floats
-    and arrays give the same values.
-    """
+def _eigen_parts(a, b, c, d, norm, xp=FLOATS):
+    """(lo, hi, im): the real parts, lower first, and the imaginary modulus of
+    the eigenvalues of [[a, b], [c, d]], from mid +- sqrt(rad) on J/norm, so the
+    squares stay finite: the cross-check's route, which reads neither the
+    bands nor tr^2 - 4 det."""
+    k = xp.where(norm > 0, norm, 1.0)
     a, b, c, d = a / k, b / k, c / k, d / k
     half = 0.5 * (a - d)
-    return 0.5 * (a + d), half * half + b * c
+    mid, rad = 0.5 * (a + d), half * half + b * c
+    re = xp.sqrt(xp.maximum(0.0, rad))  # a complex pair has real part mid
+    return k * (mid - re), k * (mid + re), k * xp.sqrt(xp.maximum(0.0, -rad))
+
+
+def _signs_agree(lo, hi, im, tol, saddle, stable, xp=FLOATS):
+    """Whether eigenvalues with real parts lo <= hi and imaginary modulus im
+    confirm a generic class: a saddle has real eigenvalues of opposite sign,
+    a stable point none with positive real part, an unstable point none with
+    negative real part, each up to tol."""
+    return xp.where(saddle, (lo < tol) & (hi > -tol) & (im == 0),
+                    xp.where(stable, hi < tol, lo > -tol))
 
 
 def _check_against_eigenvalues(a: float, b: float, c: float, d: float, norm: float,
                                cls: StabilityClass) -> None:
-    k = norm if norm > 0 else 1.0
-    mid, rad = _eigen_closed_form(a, b, c, d, k)
-    r = cmath.sqrt(complex(rad, 0.0))
-    lam = (k * (mid + r), k * (mid - r))
-    re = sorted(z.real for z in lam)
+    lo, hi, im = _eigen_parts(a, b, c, d, norm)
     tol = EIGEN_SIGN_RTOL * max(norm, NORM_FLOOR)
-    ok = True
-    if cls is StabilityClass.SADDLE:
-        ok = re[0] < tol and re[1] > -tol and lam[0].imag == 0
-    elif cls in (StabilityClass.STABLE_NODE, StabilityClass.STABLE_FOCUS):
-        ok = re[1] < tol
-    elif cls in (StabilityClass.UNSTABLE_NODE, StabilityClass.UNSTABLE_FOCUS):
-        ok = re[0] > -tol
-    elif cls is StabilityClass.WEAK_CENTER:
-        ok = abs(re[0]) <= tol and abs(re[1]) <= tol and abs(lam[0].imag) > tol
+    if cls is StabilityClass.WEAK_CENTER:
+        ok = abs(lo) <= tol and abs(hi) <= tol and im > tol
     elif cls in (StabilityClass.SADDLE_NODE, StabilityClass.DEGENERATE, StabilityClass.CUSP):
-        ok = min(map(abs, lam)) <= EIGEN_ZERO_RTOL * max(norm, NORM_FLOOR)
+        ok = min(math.hypot(lo, im), math.hypot(hi, im)) <= EIGEN_ZERO_RTOL * max(norm, NORM_FLOOR)
+    else:
+        ok = _signs_agree(lo, hi, im, tol, cls is StabilityClass.SADDLE,
+                          cls in (StabilityClass.STABLE_NODE, StabilityClass.STABLE_FOCUS))
     if not ok:
-        raise InconsistentInput(
-            f"classification {cls.value} contradicts eigenvalues {lam[0]}, {lam[1]}"
-        )
+        # 0.0 - im: a real pair prints +0j
+        raise InconsistentInput(f"classification {cls.value} contradicts eigenvalues "
+                                f"{complex(hi, im)}, {complex(lo, 0.0 - im)}")
 
 
 def thresholds(p: ModelParams) -> Thresholds:
@@ -517,32 +534,14 @@ class PortraitBatch:
     thresholds: dict[str, np.ndarray]  # h1, h2, h3, s1, s2, s3; NaN where absent
 
 
-def _eigen_signs_agree(a, b, c, d, norm, saddle, stable):
-    """Whether the closed-form eigenvalues of the Jacobians [[a, b], [c, d]]
-    (arrays) confirm their generic class, the scalar cross-check with its
-    band divided by BATCH_MARGIN: a saddle has real eigenvalues of
-    opposite sign, a stable point none with positive real part, an
-    unstable point none with negative real part."""
-    import numpy as np
-
-    k = np.where(norm > 0, norm, 1.0)
-    mid, rad = _eigen_closed_form(a, b, c, d, k)
-    real = rad >= 0
-    root = np.sqrt(np.where(real, rad, 0.0))  # the real parts are k*mid when rad < 0
-    lo, hi = k * (mid - root), k * (mid + root)
-    tol = EIGEN_SIGN_RTOL / BATCH_MARGIN * np.maximum(norm, NORM_FLOOR)
-    return np.where(saddle, (lo < tol) & (hi > -tol) & real,
-                    np.where(stable, hi < tol, lo > -tol))
-
-
 def portrait_batch(q, s, h, m) -> PortraitBatch:
     """Evaluate the generic portrait of the points (q[i], s[i], h[i], m[i]).
 
-    Shares the closed forms of the scalar path (the branch quadratics,
-    model._jacobian and the critical surfaces) and evaluates linearize()'s
-    operations in its order, so that + - * / and sqrt give the same floats;
-    the residual is not bit-equal to the scalar one, so each band is widened
-    by BATCH_MARGIN before a row is trusted.
+    Calls the kernels of the scalar path (the branch quadratics,
+    model._jacobian, the linearisation, the eigenvalue sign rules and the
+    critical surfaces) on arrays, so that + - * / and sqrt give the same
+    floats; the residual is not bit-equal to the scalar one, so each band is
+    widened by BATCH_MARGIN before a row is trusted.
     """
     import numpy as np
 
@@ -555,7 +554,7 @@ def portrait_batch(q, s, h, m) -> PortraitBatch:
         xs, ys, present, counts = [], [], [], {}
         for branch, (root_sum, root_prod, disc), line in zip(Branch, quadratics, (0.0, m, None)):
             admissible = root_sum > 0
-            rel = _relative_disc(root_sum, root_prod, disc, np.maximum)
+            rel = _relative_disc(root_sum, root_prod, disc, np)
             undecided |= (admissible & (np.abs(rel) <= BATCH_MARGIN * DISCRIMINANT_RTOL))[:, 0]
             exists = admissible & (rel > DISCRIMINANT_RTOL)
             counts[branch] = np.where(exists, 2, 0)[:, 0]
@@ -571,28 +570,23 @@ def portrait_batch(q, s, h, m) -> PortraitBatch:
         gap = np.hypot(x[:, pairs[0]] - x[:, pairs[1]], y[:, pairs[0]] - y[:, pairs[1]])
         undecided |= (gap <= BATCH_MARGIN * MERGE_DISTANCE).any(axis=1)
 
-        # the field and the linearisation in the operation order of the scalar path
         a00, b00 = _field(q, s, h, m, x, y)
         a10, a01, b10, b01 = _jacobian(q, s, m, x, y)
-        norm = np.sqrt(a10 * a10 + a01 * a01 + b10 * b10 + b01 * b01)
-        tr = a10 + b01
-        det = a10 * b01 - a01 * b10
-        disc = tr * tr - 4.0 * det
-        saddle, stable = det < 0, tr < 0
-        band = BATCH_MARGIN * DEGENERACY_RTOL
+        lin = _linearization(a10, a01, b10, b01, BATCH_MARGIN, np)
+        saddle, stable = lin.det < 0, lin.tr < 0
         residual = np.hypot(a00, b00)
-        near = ~(np.isfinite(residual + norm + disc) & (x > 0))
+        near = ~(np.isfinite(residual + lin.norm + lin.disc) & (x > 0))
         near |= residual > RESIDUAL_TOL / BATCH_MARGIN
-        near |= np.abs(det) <= band * np.maximum(norm * norm, NORM_FLOOR)
         # classify() reads a saddle's trace nowhere, so only other points need it clear
-        near |= ~saddle & (np.abs(tr) <= band * np.maximum(norm, NORM_FLOOR))
-        near |= np.abs(disc) <= band * np.maximum(norm * norm, NORM_FLOOR)
+        near |= lin.det_zero | (~saddle & lin.tr_zero) | lin.disc_zero
         undecided |= (present & near).any(axis=1)
 
         # the eigenvalue cross-check of classify(), with a tightened band
         check = present & ~undecided[:, None]
-        agrees = _eigen_signs_agree(a10[check], a01[check], b10[check], b01[check],
-                                    norm[check], saddle[check], stable[check])
+        norm = lin.norm[check]
+        tol = EIGEN_SIGN_RTOL / BATCH_MARGIN * np.maximum(norm, NORM_FLOOR)
+        parts = _eigen_parts(a10[check], a01[check], b10[check], b01[check], norm, np)
+        agrees = _signs_agree(*parts, tol, saddle[check], stable[check], np)
         disagrees = np.zeros_like(present)
         disagrees[check] = ~agrees
         undecided |= disagrees.any(axis=1)
@@ -601,7 +595,8 @@ def portrait_batch(q, s, h, m) -> PortraitBatch:
         kind = {c.name: np.array(c.value, dtype=object) for c in StabilityClass}
         node = np.where(stable, kind["STABLE_NODE"], kind["UNSTABLE_NODE"])
         focus = np.where(stable, kind["STABLE_FOCUS"], kind["UNSTABLE_FOCUS"])
-        cls = np.where(present, np.where(saddle, kind["SADDLE"], np.where(disc > 0, node, focus)),
+        node_or_focus = np.where(lin.disc > 0, node, focus)
+        cls = np.where(present, np.where(saddle, kind["SADDLE"], node_or_focus),
                        np.array("", dtype=object))
 
         # thresholds() and discriminants(); s2 and s3 sit at the E8 and E9 above

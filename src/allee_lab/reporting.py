@@ -144,10 +144,9 @@ def _thresholds_dict(t: eq.Thresholds) -> dict:
     }
 
 
-def _on_surface(actual, target, maximum=max):
-    # elementwise on arrays with maximum=np.maximum; a NaN (absent) target
-    # is never hit on either route
-    return abs(actual - target) <= eq.SURFACE_RTOL * maximum(1.0, abs(target))
+def _on_surface(actual, target, xp=eq.FLOATS):
+    # a NaN (absent) target is never hit, on floats or arrays
+    return abs(actual - target) <= eq.SURFACE_RTOL * xp.maximum(1.0, abs(target))
 
 
 def _surface_flags(p: ModelParams, t: eq.Thresholds) -> list[str]:
@@ -353,7 +352,7 @@ def run_sweep(spec: SweepSpec) -> dict[str, list]:
         columns[f"class_{lab}"] = [""] * n if column is None else column.tolist()
     for name in SURFACES:
         columns[name] = ["" if v != v else v for v in t[name].tolist()]  # NaN: absent
-        on = _on_surface(params[name[0]], t[name], np.maximum)
+        on = _on_surface(params[name[0]], t[name], np)
         columns[f"on_{name}"] = on.astype(int).tolist()
     for i in np.flatnonzero(~batch.generic).tolist():
         for name, cell in _sweep_row(spec, grid[i]).items():

@@ -72,6 +72,23 @@ class TestSotomayor:
         with pytest.raises(NoZeroEigenvalue):
             al.sotomayor_saddle_node(p, al.State(0.7, 0.0), "h")
 
+    def test_allee_fold_in_m_matches_a_finite_difference(self):
+        # the Allee-line fold h = (1 - q*m)^2 / 4 at (A/2, m); w.f_m against
+        # a central difference of the raw field in m
+        q, s, m = 1.0, 1.0, 0.2
+        h = (1.0 - q * m) ** 2 / 4.0
+        rep = al.sotomayor_saddle_node(al.ModelParams(q=q, s=s, h=h, m=m), al.State(0.4, 0.2), "m")
+        assert rep.transversality1 == pytest.approx(0.08, rel=1e-12)
+        d = 1e-6
+        up, down = _field(q, s, h, m + d, 0.4, 0.2), _field(q, s, h, m - d, 0.4, 0.2)
+        fd = [(u - v) / (2.0 * d) for u, v in zip(up, down)]
+        assert rep.transversality1 == pytest.approx(rep.w[0] * fd[0] + rep.w[1] * fd[1], rel=1e-8)
+
+    def test_unknown_parameter_raises(self):
+        p = al.ModelParams(q=1, s=1, h=0.16, m=0.2)
+        with pytest.raises(ValueError, match="unknown bifurcation parameter 'k'"):
+            al.sotomayor_saddle_node(p, al.State(0.4, 0.2), "k")
+
 
 class TestHopfCriticalS:
     def test_reference_value(self):

@@ -19,6 +19,8 @@ from allee_lab.model import _linspace
 from allee_lab.normal_forms import taylor_at
 from allee_lab.reporting import dumps_canonical
 
+GOLDEN = Path(__file__).parent / "golden" / "cli"
+
 
 def run_cli(*args: str, env: dict | None = None):
     cmd = [sys.executable, "-m", "allee_lab", *args]
@@ -498,6 +500,30 @@ class TestConfigFile:
         assert res.returncode == 2
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
         assert "Traceback" not in res.stderr
+
+
+# in-process runs, so that the statements they reach are seen by a tracer:
+# an explicit hopf --s, a sweep that skips every point, and a comment-only and
+# a malformed config line
+@pytest.mark.parametrize("argv, config, code, golden, err", [
+    (["hopf", "--q=1", "--h=0.12", "--m=0.1", "--s=0.4999999999999992"], None, 0, "hopf_e8", ""),
+    (["hopf", "--q=1", "--h=0.12", "--m=0.1", "--s=0.6"], None, 2, None,
+     "error: trace -2.000e-02 not zero: s is not at the critical value\n"),
+    (["sweep", "--parameter=h", "--lo=0.1", "--hi=0.2", "--steps=3", "--q=1", "--s=1", "--m=1.5"],
+     None, 2, None, "error: every grid point was skipped; check the fixed parameters\n"),
+    (["analyze"], "# the generic point\nq = 1\ns = 1\nh = 0.21\nm = 0.2\n", 0, "analyze_generic", ""),
+    (["analyze", "--s=1", "--h=0.2", "--m=0.2"], "q 1\n", 2, None,
+     "error: {cfg}:1: expected 'key = value', got 'q 1'\n"),
+], ids=["hopf-critical-s", "hopf-off-critical-s", "sweep-all-skipped", "config-comment",
+        "config-no-equals"])
+def test_in_process_output(tmp_path, capsys, argv, config, code, golden, err):
+    cfg = tmp_path / "params.cfg"
+    if config is not None:
+        cfg.write_text(config, encoding="utf-8")
+        argv = [*argv, "--config", str(cfg)]
+    assert main(argv) == code
+    out = "" if golden is None else (GOLDEN / f"{golden}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr() == (out, err.format(cfg=cfg))
 
 
 class TestExitCodes:

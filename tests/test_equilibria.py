@@ -237,14 +237,28 @@ class TestClosedFormEigenvalueCheck:
         assert [v for v in verdicts if v[0] != v[1]] == []
 
 
+def _eigvals(a, b, c, d):
+    return np.linalg.eigvals(np.stack([a, b, c, d], axis=1).reshape(-1, 2, 2))
+
+
+def _batch_tol(norm):
+    return equilibria.EIGEN_SIGN_RTOL / equilibria.BATCH_MARGIN * np.maximum(
+        norm, equilibria.NORM_FLOOR)
+
+
 def _eigvals_signs_agree(a, b, c, d, norm, saddle, stable):
     # the batch check's acceptance rule on np.linalg.eigvals' eigenvalues
-    lam = np.linalg.eigvals(np.stack([a, b, c, d], axis=1).reshape(-1, 2, 2))
+    lam = _eigvals(a, b, c, d)
     re = np.sort(lam.real, axis=1)
-    tol = equilibria.EIGEN_SIGN_RTOL / equilibria.BATCH_MARGIN * np.maximum(
-        norm, equilibria.NORM_FLOOR)
+    tol = _batch_tol(norm)
     return np.where(saddle, (re[:, 0] < tol) & (re[:, 1] > -tol) & (lam.imag[:, 0] == 0),
                     np.where(stable, re[:, 1] < tol, re[:, 0] > -tol))
+
+
+def _closed_form_signs_agree(a, b, c, d, norm, saddle, stable):
+    # the batch check as portrait_batch makes it
+    parts = equilibria._eigen_parts(a, b, c, d, norm, np)
+    return equilibria._signs_agree(*parts, _batch_tol(norm), saddle, stable, np)
 
 
 class TestBatchEigenvalueCheck:
@@ -256,23 +270,28 @@ class TestBatchEigenvalueCheck:
         n = 20_000
         q, s, h = 10.0 ** rng.uniform(-decades, decades, (3, n))
         m = 10.0 ** rng.uniform(-decades, 0, n)
-        closed_form = equilibria._eigen_signs_agree
+        closed_form = _closed_form_signs_agree
         closed = equilibria.portrait_batch(q, s, h, m)
         checks = []
 
-        def eigvals_route(*args):
-            checks.append(args)
-            return _eigvals_signs_agree(*args)
+        def eigvals_route(a, b, c, d, norm, xp):
+            # numpy's eigenvalues as (lo, hi, im), judged by the same rule
+            checks.append((a, b, c, d, norm))
+            lam = _eigvals(a, b, c, d)
+            re = np.sort(lam.real, axis=1)
+            return re[:, 0], re[:, 1], np.abs(lam.imag[:, 0])
 
-        monkeypatch.setattr(equilibria, "_eigen_signs_agree", eigvals_route)
+        monkeypatch.setattr(equilibria, "_eigen_parts", eigvals_route)
         reference = equilibria.portrait_batch(q, s, h, m)
         assert np.array_equal(closed.generic, reference.generic)
         assert closed.generic.sum() > n // 4
 
         # the same Jacobians, with a centre, a weak focus, a nilpotent and a
         # zero Jacobian appended, under every claim the batch can make: the
-        # true one, and all saddle, all stable, all unstable
-        (a, b, c, d, norm, saddle, stable), = checks
+        # true one (det < 0 a saddle, else tr < 0 stable, as portrait_batch
+        # computes them), and all saddle, all stable, all unstable
+        (a, b, c, d, norm), = checks
+        saddle, stable = a * d - b * c < 0, a + d < 0
         assert a.size > n // 2
         edge = np.array([[0.0, 1.0, -1.0, 0.0], [1e-12, 1.0, -1.0, 0.0],
                          [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])

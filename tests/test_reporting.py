@@ -1,5 +1,5 @@
-"""The canonical JSON writer against the json module, and the CSV writer
-against a row-wise reference."""
+"""The canonical JSON writer against the json module, the CSV writer
+against a row-wise reference, and the checks of SweepSpec."""
 from __future__ import annotations
 
 import json
@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from allee_lab.dynamics import integrate
 from allee_lab.model import ModelParams, State
-from allee_lab.reporting import SWEEP_COLUMNS, dumps_canonical, sweep_csv, trajectory_csv
+from allee_lab.reporting import (
+    SWEEP_COLUMNS,
+    SweepSpec,
+    dumps_canonical,
+    sweep_csv,
+    trajectory_csv,
+)
 
 
 def reference(obj) -> str:
@@ -171,3 +177,17 @@ def test_sweep_csv_keeps_each_zero_and_number_type():
     assert [line.split(",")[13:17] for line in text.splitlines()[1:]] == [
         ["0.0", "-0.0", "1.0", "2.5"], ["-0.0", "0.0", "1", "2.5"],
         ["0.0", "-0.0", "1.0", "2.5"], ["-0.0", "0.0", "1.0", "2.5"]]
+
+
+# the checks that the CLI's parser keeps from ever failing
+@pytest.mark.parametrize("parameter, lo, hi, steps, fixed, named", [
+    ("x", 0.1, 0.2, 3, {"q": 1.0, "s": 1.0, "m": 0.2}, "parameter must be one of q, s, h, m"),
+    ("h", 0.2, 0.1, 3, {"q": 1.0, "s": 1.0, "m": 0.2}, r"need lo < hi, got \[0.2, 0.1\]"),
+    ("h", 0.1, 0.2, 1, {"q": 1.0, "s": 1.0, "m": 0.2}, "need at least 2 steps, got 1"),
+    ("h", 0.1, 0.2, 3, {"q": 1.0, "s": 1.0}, r"missing fixed parameter values: \['m'\]"),
+    ("h", 0.1, 0.2, 3, {"q": 1.0, "s": 1.0, "m": 0.2, "k": 1.0},
+     r"unknown fixed parameters: \['k'\]"),
+], ids=["parameter", "lo-hi", "steps", "missing", "unknown"])
+def test_sweep_spec_rejects(parameter, lo, hi, steps, fixed, named):
+    with pytest.raises(ValueError, match=named):
+        SweepSpec(parameter, lo, hi, steps, fixed)

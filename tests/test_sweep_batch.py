@@ -5,7 +5,8 @@ per column and sends the points it leaves undecided through `_sweep_row`,
 the scalar path that builds one `full_portrait` per point.  Every cell must
 equal the scalar row's, on seeded random grids and on grids with points
 tight on the folds h1, h2, h3 and the Allee-line fold, the cusp s1, the Hopf
-surfaces s2 and s3, and harvests from 1e-300 to 1e200.
+surfaces s2 and s3, harvests from 1e-300 to 1e200, and sweeps of s, q, h
+and m over many decades.
 """
 from __future__ import annotations
 
@@ -69,6 +70,18 @@ LARGE_HARVESTS = [
     SweepSpec("h", 1e11, 1e200, 40, {"q": 3.0, "s": 0.5, "m": 0.7}),
 ]
 
+# sweeps over many decades of one parameter, where both paths skip rows or
+# call generic points degenerate alike: the bands are relative to the
+# Jacobian's norm, not to the rounding scale of each quantity
+EXTREME_SCALES = [
+    SweepSpec("s", 1e6, 1e12, 60, {"q": 1.0, "h": 0.1, "m": 0.2}),
+    SweepSpec("s", 1e-12, 1e-6, 60, {"q": 1.0, "h": 0.1, "m": 0.2}),
+    SweepSpec("q", 1e6, 1e11, 60, {"s": 1.0, "h": 0.1, "m": 0.2}),
+    SweepSpec("h", 1e-13, 1e-9, 60, {"q": 1.0, "s": 1.0, "m": 0.2}),
+    SweepSpec("m", 1e-12, 1e-6, 60, {"q": 1e3, "s": 1e3, "h": 1e-4}),
+    SweepSpec("s", 1e9, 1e11, 3, {"q": 1.0, "h": 0.1, "m": 0.2}),
+]
+
 
 def _transposed(rows: list[dict]) -> dict[str, list]:
     return {name: [row[name] for row in rows] for name in SWEEP_COLUMNS}
@@ -89,7 +102,7 @@ def fallbacks(monkeypatch) -> list[float]:
 
 def test_batch_rows_equal_scalar_rows(fallbacks):
     points, off_fold, off_fold_fallbacks = 0, 0, 0
-    for spec in _specs(20261018) + TINY_HARVESTS + LARGE_HARVESTS:
+    for spec in _specs(20261018) + TINY_HARVESTS + LARGE_HARVESTS + EXTREME_SCALES:
         before = len(fallbacks)
         scalar = _transposed([_sweep_row(spec, v) for v in spec.grid()])
         columns = run_sweep(spec)
@@ -99,13 +112,14 @@ def test_batch_rows_equal_scalar_rows(fallbacks):
         if spec in LARGE_HARVESTS:
             assert not any(columns["skipped"]), spec
         points += spec.steps
-        if spec.fixed.get("h") != 1.0 / (4.0 * (spec.fixed.get("q", 0.0) + 1.0)):
+        on_fold = spec.fixed.get("h") == 1.0 / (4.0 * (spec.fixed.get("q", 0.0) + 1.0))
+        if not on_fold and spec not in EXTREME_SCALES:
             off_fold += spec.steps
             off_fold_fallbacks += len(fallbacks) - before
     assert points >= 10_000
-    # off the diagonal fold h = h3 the array pass decides nearly every row;
-    # the scalar path takes the fold, merge and band rows, invalid
-    # parameters and the harvests near 1e-300
+    # off the diagonal fold h = h3 and the extreme scales the array pass
+    # decides nearly every row; the scalar path takes the fold, merge and
+    # band rows, invalid parameters and the harvests near 1e-300
     assert off_fold_fallbacks <= 0.1 * off_fold
 
 
