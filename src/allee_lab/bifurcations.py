@@ -312,78 +312,61 @@ def _check_cusp_base(p: ModelParams) -> ModelParams:
     return base
 
 
-def _ladder(base: ModelParams, eta: tuple[float, float]) -> tuple[dict, bool]:
+# the chain's stages and the coefficients each keeps, in the order _ladder
+# returns them and a report lists them
+_QUADRATIC = ("00", "10", "01", "20", "11", "02")
+_LADDER_KEYS = (("a", _QUADRATIC), ("b", _QUADRATIC), ("c", ("00", "20", "11")),
+                ("d", _QUADRATIC), ("e", _QUADRATIC), ("f", _QUADRATIC[:5]),
+                ("g", ("00", "10", "01", "11")), ("h", ("00", "01", "11")), ("l", ("00", "01")))
+
+
+def _ladder(base: ModelParams, eta: tuple[float, float]) -> tuple[tuple[float, ...], bool]:
     """Run the coefficient chain once at base, the exact cusp point, moved
-    by eta; returns (stages, mirrored)."""
+    by eta; returns (the coefficients in _LADDER_KEYS order, mirrored)."""
     x7 = 2.0 * base.h
     p = ModelParams(q=base.q, s=base.s + eta[1], h=base.h + eta[0], m=base.m)
     t = taylor_at(p, State(x7, x7))
-    a = {"00": t.a00, "10": t.a10, "01": t.a01, "20": t.a20, "11": t.a11, "02": t.a02}
-    b = {"00": t.b00, "10": t.b10, "01": t.b01, "20": t.b20, "11": t.b11, "02": t.b02}
+    a00, a10, a01, a20, a11, a02 = t[:6]
+    b00, b10, b01, b20, b11, b02 = t[10:16]
 
     # straighten the linear part: u2 = u1, v2 = a10*u1 + a01*v1
-    c = {
-        "00": a["00"],
-        "20": a["20"] - a["11"] * a["10"] / a["01"],
-        "11": a["11"] / a["01"],
-    }
-    d = {
-        "00": a["00"] * a["10"],
-        "10": a["01"] * b["10"] - a["10"] * b["01"],
-        "01": a["10"] + b["01"],
-        "20": (a["10"] * a["20"] + a["01"] * b["20"] - a["10"] * b["11"]
-               - a["10"] ** 2 * a["11"] / a["01"] + a["10"] ** 2 * b["02"] / a["01"]),
-        "11": b["11"] + a["10"] * a["11"] / a["01"] - 2.0 * a["10"] * b["02"] / a["01"],
-        "02": b["02"] / a["01"],
-    }
+    c00, c20, c11 = a00, a20 - a11 * a10 / a01, a11 / a01
+    d00, d10, d01 = a00 * a10, a01 * b10 - a10 * b01, a10 + b01
+    d20 = (a10 * a20 + a01 * b20 - a10 * b11
+           - a10 ** 2 * a11 / a01 + a10 ** 2 * b02 / a01)
+    d11 = b11 + a10 * a11 / a01 - 2.0 * a10 * b02 / a01
+    d02 = b02 / a01
 
     # flatten the first equation: v3 = du2/dt (exact quadratic coefficients
     # of the transformed second equation, including the perturbation-sized
     # corrections through c00)
-    c00, c20, c11 = c["00"], c["20"], c["11"]
-    e = {
-        "00": d["00"] - c00 * d["01"] + c00**2 * d["02"],
-        "10": d["10"] + c11 * d["00"] - c00 * d["11"] - c00**2 * c11 * d["02"],
-        "01": d["01"] - c00 * c11 - 2.0 * c00 * d["02"],
-        "20": (d["20"] - c20 * d["01"] + c11 * d["10"]
-               + 2.0 * c00 * c20 * d["02"] + c00**2 * c11**2 * d["02"]),
-        "11": d["11"] + 2.0 * c20 + c00 * c11**2 + 2.0 * c00 * c11 * d["02"],
-        "02": d["02"] + c11,
-    }
+    e00 = d00 - c00 * d01 + c00**2 * d02
+    e10 = d10 + c11 * d00 - c00 * d11 - c00**2 * c11 * d02
+    e01 = d01 - c00 * c11 - 2.0 * c00 * d02
+    e20 = (d20 - c20 * d01 + c11 * d10
+           + 2.0 * c00 * c20 * d02 + c00**2 * c11**2 * d02)
+    e11 = d11 + 2.0 * c20 + c00 * c11**2 + 2.0 * c00 * c11 * d02
+    e02 = d02 + c11
 
     # time reparametrisation dt = (1 - e02*u)dtau plus v4 = v3*(1 - e02*u3)
-    f = {
-        "00": e["00"],
-        "10": e["10"] - 2.0 * e["00"] * e["02"],
-        "01": e["01"],
-        "20": e["20"] - 2.0 * e["02"] * e["10"] + e["00"] * e["02"] ** 2,
-        "11": e["11"] - e["01"] * e["02"],
-    }
+    f00, f10, f01 = e00, e10 - 2.0 * e00 * e02, e01
+    f20 = e20 - 2.0 * e02 * e10 + e00 * e02 ** 2
+    f11 = e11 - e01 * e02
 
-    mirrored = False
-    scale = max(1.0, abs(f["11"]))
-    if abs(f["20"]) <= F20_RTOL * scale:
+    if abs(f20) <= F20_RTOL * max(1.0, abs(f11)):
         raise SignAssumptionViolated("quadratic coefficient f20 vanishes; chain inapplicable")
-    if f["20"] > 0:
+    mirrored = f20 > 0
+    if mirrored:
         # mirrored branch: (v, t) -> (-v, -t) flips the sign of f20
-        mirrored = True
-        f = {"00": -f["00"], "10": -f["10"], "01": f["01"], "20": -f["20"], "11": f["11"]}
+        f00, f10, f20 = -f00, -f10, -f20
 
-    k = math.sqrt(-f["20"])
-    g = {
-        "00": -f["00"] / f["20"],
-        "10": -f["10"] / f["20"],
-        "01": f["01"] / k,
-        "11": f["11"] / k,
-    }
-    h = {
-        "00": g["00"] + 0.25 * g["10"] ** 2,
-        "01": g["01"] + 0.5 * g["10"] * g["11"],
-        "11": g["11"],
-    }
-    l = {"00": -h["00"] * h["11"] ** 4, "01": -h["01"] * h["11"]}
-    stages = {"a": a, "b": b, "c": c, "d": d, "e": e, "f": f, "g": g, "h": h, "l": l}
-    return stages, mirrored
+    k = math.sqrt(-f20)
+    g00, g10, g01, g11 = -f00 / f20, -f10 / f20, f01 / k, f11 / k
+    h00, h01, h11 = g00 + 0.25 * g10 ** 2, g01 + 0.5 * g10 * g11, g11
+    return (a00, a10, a01, a20, a11, a02, b00, b10, b01, b20, b11, b02,
+            c00, c20, c11, d00, d10, d01, d20, d11, d02, e00, e10, e01, e20, e11, e02,
+            f00, f10, f01, f20, f11, g00, g10, g01, g11, h00, h01, h11,
+            -h00 * h11 ** 4, -h01 * h11), mirrored
 
 
 def _det2(a: float, b: float, c: float, d: float) -> float:
@@ -420,7 +403,7 @@ def _unfolding_jacobian_det(q: float, m: float, jac_step: float) -> float:
     def l_column(d1: float, d2: float) -> tuple[float, float]:
         plus, _ = _ladder(p_base, (d1, d2))
         minus, _ = _ladder(p_base, (-d1, -d2))
-        return tuple((plus["l"][k] - minus["l"][k]) / (2.0 * jac_step) for k in ("00", "01"))
+        return tuple((plus[k] - minus[k]) / (2.0 * jac_step) for k in (-2, -1))
 
     (a, c), (b, d) = l_column(jac_step, 0.0), l_column(0.0, jac_step)
     return abs(_det2(a, b, c, d))
@@ -440,22 +423,41 @@ def bt_normal_form(
     the determinant of the central-difference Jacobian of (l00, l01) with
     respect to eta at 0, which is computed once per (q, m, jac_step).
     """
+    grid = _bt_grid(p_base, [eta], jac_step)
+    cell = {name: getattr(grid, name)[0]
+            for name in ("l00", "l01", "f20", "f11", "h11", "mirrored", "jac_det")}
+    ladder = {stage: {key: column[0] for key, column in keys.items()}
+              for stage, keys in grid.ladder.items()}
+    return BTReport(eta=eta, ladder=ladder, verdict=grid.verdict, **cell)
+
+
+def _bt_grid(p_base: ModelParams, etas: list[tuple[float, float]],
+             jac_step: float = 1e-6) -> BTReport:
+    """bt_normal_form at each of `etas`, as one BTReport whose fields but
+    the verdict are columns: tuples with one value per eta.
+
+    The cusp base is checked once and the unfolding Jacobian is found once,
+    after the first chain; each eta is checked and run through the chain in
+    order, so a grid fails as its first failing point would alone.
+    """
     base = _check_cusp_base(p_base)
-    if math.hypot(*eta) > 1e-2:
-        raise ValueError(f"perturbation {eta} too large; the chain is local (|eta| <= 1e-2)")
-
-    stages, mirrored = _ladder(base, eta)
-    jac_det = _unfolding_jacobian_det(p_base.q, p_base.m, jac_step)
-
+    ladders, mirrored, jac_det = [], [], None
+    for eta in etas:
+        if math.hypot(*eta) > 1e-2:
+            raise ValueError(f"perturbation {eta} too large; the chain is local (|eta| <= 1e-2)")
+        values, flipped = _ladder(base, eta)
+        ladders.append(values)
+        mirrored.append(flipped)
+        if jac_det is None:
+            jac_det = _unfolding_jacobian_det(p_base.q, p_base.m, jac_step)
+    columns = zip(*ladders)
+    stages = {stage: {key: next(columns) for key in keys} for stage, keys in _LADDER_KEYS}
+    f20 = stages["f"]["20"]
+    if any(mirrored):  # the report's f20 is the one before mirroring
+        f20 = tuple(-v if flipped else v for v, flipped in zip(f20, mirrored))
     return BTReport(
-        eta=eta,
-        ladder=stages,
-        l00=stages["l"]["00"],
-        l01=stages["l"]["01"],
-        f20=stages["f"]["20"] if not mirrored else -stages["f"]["20"],
-        f11=stages["f"]["11"],
-        h11=stages["h"]["11"],
-        mirrored=mirrored,
-        jac_det=jac_det,
+        eta=tuple(zip(*etas)), ladder=stages, l00=stages["l"]["00"], l01=stages["l"]["01"],
+        f20=f20, f11=stages["f"]["11"], h11=stages["h"]["11"], mirrored=tuple(mirrored),
+        jac_det=(jac_det,) * len(etas),
         verdict=BTVerdict.BT_CODIM2 if jac_det > BT_JAC_DET_TOL else BTVerdict.DEGENERATE,
     )

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import reporting
-from .bifurcations import (_check_cusp_base, bt_normal_form, cusp_base_params,
+from .bifurcations import (_bt_grid, _check_cusp_base, bt_normal_form, cusp_base_params,
                            first_lyapunov_coefficient, hopf_critical_s)
 from .dynamics import integrate
 from .errors import AlleeLabError
@@ -112,12 +112,8 @@ def _cmd_bt(args: argparse.Namespace) -> int:
     if args.grid is not None:
         box = args.eta_box if args.eta_box is not None else 1e-3
         values = _linspace(-box, box, args.grid)
-        reports = []
-        for e1 in values:
-            for e2 in values:
-                rep = bt_normal_form(base, (e1, e2))
-                reports.append(reporting.bt_report_dict(base, rep))
-        _emit(args, dumps_canonical(reports))
+        grid = _bt_grid(base, [(e1, e2) for e1 in values for e2 in values])
+        _emit(args, reporting.dumps_canonical_rows(reporting.bt_report_dict(base, grid)))
         return 0
     eta = (args.eta1 if args.eta1 is not None else 0.0,
            args.eta2 if args.eta2 is not None else 0.0)

@@ -19,6 +19,7 @@ from .model import ModelParams, _field
 __all__ = [
     "SweepSpec",
     "dumps_canonical",
+    "dumps_canonical_rows",
     "params_dict",
     "analysis_report",
     "hopf_report_dict",
@@ -48,25 +49,18 @@ def dumps_canonical(obj) -> str:
 
     The text is byte-equal to the json module's `dumps(obj, indent=2,
     allow_nan=False)` plus a final line break, but it is written directly
-    instead of through json's pure-Python indenting encoder.  Each float's
-    text is computed once per call; zeros are never memoised, because
-    0.0 == -0.0 would print one sign for both.  Keys must be str (json
-    would coerce int, float, bool and None keys); any other key, and any
-    value that is not a str, int, float, bool, None, list, tuple or dict,
-    raises TypeError.  NaN and infinities raise ValueError.
+    instead of through json's pure-Python indenting encoder.  Keys must be
+    str (json would coerce int, float, bool and None keys); any other key,
+    and any value that is not a str, int, float, bool, None, list, tuple or
+    dict, raises TypeError.  NaN and infinities raise ValueError.
     """
     parts: list[str] = []
     emit = parts.append
-    floats: dict[float, str] = {}
-    keys: dict[str, str] = {}
 
     def float_text(x: float) -> str:
         if not math.isfinite(x):
             raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-        text = float.__repr__(x)  # np.float64's own repr is "np.float64(...)"
-        if x:
-            floats[x] = text
-        return text
+        return float.__repr__(x)  # np.float64's own repr is "np.float64(...)"
 
     def write(o, nl: str) -> None:
         # nl: the line break and indent of the line `o` ends on
@@ -81,7 +75,7 @@ def dumps_canonical(obj) -> str:
         elif isinstance(o, int):
             emit(int.__repr__(o))
         elif isinstance(o, float):
-            emit(floats.get(o) or float_text(o))
+            emit(float_text(o))
         elif isinstance(o, (list, tuple)):
             if not o:
                 emit("[]")
@@ -92,7 +86,7 @@ def dumps_canonical(obj) -> str:
                 emit(sep)
                 sep = comma
                 if type(v) is float:  # most leaves of a report
-                    emit(floats.get(v) or float_text(v))
+                    emit(float_text(v))
                 else:
                     write(v, inner)
             emit(nl + "]")
@@ -105,14 +99,11 @@ def dumps_canonical(obj) -> str:
             for k, v in o.items():
                 emit(sep)
                 sep = comma
-                text = keys.get(k)
-                if text is None:
-                    if not isinstance(k, str):
-                        raise TypeError(f"keys must be str, not {type(k).__name__}")
-                    text = keys[k] = _encode_str(k) + ": "
-                emit(text)
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                emit(_encode_str(k) + ": ")
                 if type(v) is float:
-                    emit(floats.get(v) or float_text(v))
+                    emit(float_text(v))
                 else:
                     write(v, inner)
             emit(nl + "}")
@@ -122,6 +113,38 @@ def dumps_canonical(obj) -> str:
     write(obj, "\n")
     emit("\n")
     return "".join(parts)
+
+
+def dumps_canonical_rows(doc: dict) -> str:
+    """dumps_canonical of the reports that `doc` holds as columns: each
+    tuple in it is a column of floats or bools, one value per report.
+
+    Each row fills the text dumps_canonical writes for one report with a
+    hole per column, so the bytes are equal by construction.  A column is
+    turned into text once, by the CSV writer's _column_text.  No str in
+    `doc` may be "\0", the text of a hole.
+    """
+    columns = []
+
+    def hole(o):
+        if isinstance(o, tuple):
+            columns.append(o)
+            return "\0"
+        if isinstance(o, dict):
+            return {k: hole(v) for k, v in o.items()}
+        return [hole(v) for v in o] if isinstance(o, list) else o
+
+    head, *layout = dumps_canonical([hole(doc)]).split(_encode_str("\0"))
+    layout = [head[1:], *layout[:-1], layout[-1][:-3]]  # one report, without "[" and "\n]\n"
+    if not all(math.isfinite(sum(column)) for column in columns):  # or an overflowing sum
+        for row in zip(*columns):  # dumps_canonical names the first non-finite value
+            dumps_canonical(row)
+    texts = {id(column): column for column in columns}  # a repeated column once
+    texts = {key: _column_text(column) if type(column[0]) is not bool
+             else ["true" if v else "false" for v in column] for key, column in texts.items()}
+    row_format = "%s".join(part.replace("%", "%%") for part in layout)
+    rows = map(row_format.__mod__, zip(*(texts[id(column)] for column in columns)))
+    return "[" + ",".join(rows) + "\n]\n"
 
 
 def params_dict(p: ModelParams) -> dict:

@@ -16,6 +16,7 @@ from allee_lab.errors import (
     HopfInadmissible,
     NoZeroEigenvalue,
     NotAWeakCenter,
+    NotSemiDegenerate,
 )
 from allee_lab.model import TaylorCoefficients, _field
 from allee_lab.normal_forms import taylor_at
@@ -89,6 +90,11 @@ class TestSotomayor:
         with pytest.raises(ValueError, match="unknown bifurcation parameter 'k'"):
             al.sotomayor_saddle_node(p, al.State(0.4, 0.2), "k")
 
+    def test_rejects_double_zero_eigenvalue(self):
+        p = al.cusp_base_params(1.0, 0.1)
+        with pytest.raises(NotSemiDegenerate, match="zero eigenvalue is not simple"):
+            al.sotomayor_saddle_node(p, al.State(2 * p.h, 2 * p.h), "h")
+
 
 class TestHopfCriticalS:
     def test_reference_value(self):
@@ -104,6 +110,11 @@ class TestHopfCriticalS:
         p = al.ModelParams(q=1, s=1, h=0.105, m=0.1)
         with pytest.raises(HopfInadmissible):
             al.hopf_critical_s(p, "E8")
+
+    def test_unknown_equilibrium_rejected(self):
+        p = al.ModelParams(q=1, s=1, h=0.12, m=0.1)
+        with pytest.raises(ValueError, match="which must be 'E8' or 'E9', got 'E7'"):
+            al.hopf_critical_s(p, "E7")
 
     def test_lower_root_never_admissible(self):
         # on the det > 0 side of the lower diagonal equilibrium the critical
@@ -257,6 +268,31 @@ class TestFirstLyapunovCoefficient:
         assert rep.direction is al.HopfDirection.SUBCRITICAL
         assert _kuznetsov_l1(taylor_at(p, al.State(x8, x8))) == pytest.approx(13.75, abs=0.01)
 
+    def test_bautin_point_direction_undetermined(self):
+        # sigma changes sign along h at (q, m) = (5.5, 0.04); bisected to its
+        # root, the grouped terms cancel to within PHI_RTOL of their scale
+        # and no direction is claimed
+        def report(h):
+            s = al.hopf_critical_s(al.ModelParams(q=5.5, s=1.0, h=h, m=0.04))
+            return al.first_lyapunov_coefficient(al.ModelParams(q=5.5, s=s, h=h, m=0.04))
+
+        lo, hi = 0.0228, 0.0247
+        assert report(lo).direction is al.HopfDirection.SUPERCRITICAL
+        assert report(hi).direction is al.HopfDirection.SUBCRITICAL
+        while True:
+            h = 0.5 * (lo + hi)
+            assert lo < h < hi, "the bisection reached adjacent floats"
+            rep = report(h)
+            if rep.direction is al.HopfDirection.UNDETERMINED:
+                break
+            lo, hi = (h, hi) if rep.sigma < 0 else (lo, h)
+        assert abs(sum(rep.phi)) <= 1e-12 * sum(map(abs, rep.phi))
+
+    def test_lyapunov_number_rejects_a_non_centre(self):
+        t = al.derivatives(al.ModelParams(q=1, s=1, h=0.12, m=0.1), al.State(0.3, 0.3))
+        with pytest.raises(NotAWeakCenter, match="need a \\+ d = 0 and Delta > 0"):
+            al.lyapunov_number(1.0, 1.0, -1.0, 0.0, t)
+
     def test_off_critical_growth_rate_rejected(self):
         with pytest.raises(NotAWeakCenter):
             al.first_lyapunov_coefficient(al.ModelParams(q=1, s=0.6, h=0.12, m=0.1), "E8")
@@ -312,8 +348,8 @@ class TestBTNormalForm:
         # must carry exactly the value a fresh central difference gives
         def fresh_jac_det(p, step):
             def l_pair(e1, e2):
-                st, _ = bifurcations._ladder(p, (e1, e2))
-                return np.array([st["l"]["00"], st["l"]["01"]])
+                values, _ = bifurcations._ladder(p, (e1, e2))
+                return np.array(values[-2:])  # l00, l01
 
             jac = np.zeros((2, 2))
             for j, (d1, d2) in enumerate(((step, 0.0), (0.0, step))):

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from allee_lab.bifurcations import bt_normal_form, cusp_base_params
 from allee_lab.cli import main
+from allee_lab.errors import SignAssumptionViolated
 from allee_lab.model import _linspace
 from allee_lab.normal_forms import taylor_at
 from allee_lab.reporting import dumps_canonical
@@ -129,6 +131,18 @@ class TestHopf:
         res = run_cli("hopf", "--q", "1", "--h", "0.105", "--m", "0.1", "--which", "E8")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        ("--q 1 --h 0.2 --m 0.1", "diagonal equilibrium pair does not exist (discriminant <= 0)"),
+        ("--q 1 --h 0.1 --m 0.1 --which E9",
+         "need m > x9 for a weak center at E9 (m=0.1, x9=0.13819660112501053)"),
+        # trace zero at E9 = (0.2, 0.2), on the det < 0 side of it
+        ("--q 1 --s 4 --h 0.12 --m 0.1 --which E9",
+         "det -8.000e-02 not positive: equilibrium is not a center candidate"),
+    ])
+    def test_no_weak_centre_exits_2(self, capsys, argv, message):
+        assert main(["hopf", *argv.split()]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestBT:
     def test_unperturbed_report(self):
@@ -186,6 +200,58 @@ class TestBT:
                 expected = np.linspace(lo, hi, n).tolist()
             got = _linspace(lo, hi, n)
             assert list(map(repr, got)) == list(map(repr, expected))
+
+    @pytest.mark.parametrize("argv, mirrored", [
+        ("--q 1 --m 0.1 --grid 5", 0),
+        ("--q 0.5 --m 0.05 --grid 5", 0),
+        ("--q 2 --m 0.02 --grid 5 --eta-box 5e-4", 0),
+        # f20 > 0 in the top three rows: the chain's mirrored branch
+        ("--q 1 --m 0.225 --grid 21 --eta-box 1e-3", 63),
+    ])
+    def test_each_grid_cell_equals_its_single_point_report(self, capsys, argv, mirrored):
+        base = argv.split("--grid")[0].split()
+        assert main(["bt", *argv.split()]) == 0
+        cells = json.loads(capsys.readouterr().out)
+        assert sum(cell["mirrored"] for cell in cells) == mirrored
+        for cell in cells:
+            e1, e2 = cell["eta"]
+            assert main(["bt", *base, f"--eta1={e1!r}", f"--eta2={e2!r}"]) == 0
+            assert capsys.readouterr().out == dumps_canonical(cell)
+
+    def test_vanishing_f20_exits_2_at_a_point_and_on_a_grid_through_it(self, capsys):
+        # at (q, m) = (1, 0.225) f20 changes sign between eta1 = 7e-4 and
+        # 8e-4 and barely moves with eta2; bisect eta1 at eta2 = 0 into the
+        # band |f20| <= F20_RTOL * max(1, |f11|) that the chain refuses
+        p = cusp_base_params(1.0, 0.225)
+        lo, hi = 7e-4, 8e-4
+        while True:
+            e1 = 0.5 * (lo + hi)
+            assert lo < e1 < hi, "the bisection reached adjacent floats"
+            try:
+                f20 = bt_normal_form(p, (e1, 0.0)).f20
+            except SignAssumptionViolated:
+                break
+            lo, hi = (e1, hi) if f20 < 0 else (lo, e1)
+        # a 3 x 3 grid over [-e1, e1] has the cell (e1, 0.0)
+        for extra in ([f"--eta1={e1!r}", "--eta2=0"], ["--grid=3", f"--eta-box={e1!r}"]):
+            assert main(["bt", "--q=1", "--m=0.225", *extra]) == 2
+            assert capsys.readouterr().err == (
+                "error: quadratic coefficient f20 vanishes; chain inapplicable\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        ("--q 1 --m 0.25", "m = 2*h3 = 0.25: trace cannot vanish at the fold point"),
+        ("--q 1 --m 0.1 --grid 21 --eta-box 0.008",
+         "perturbation (-0.008, -0.008) too large; the chain is local (|eta| <= 1e-2)"),
+        # h3 = 1/4004, so the first cell's harvest is negative
+        ("--q 1000 --m 1e-4 --grid 21", "h must be > 0, got -0.0007502497502497503"),
+        # every cell is admissible, the unfolding Jacobian's step of 1e-6 is not
+        ("--q 1e6 --m 1e-7 --grid 3 --eta-box 1e-8", "h must be > 0, got -7.5000024999975e-07"),
+        # both fail: the first cell runs before the Jacobian and is named
+        ("--q 1e6 --m 1e-7 --grid 3 --eta-box 2e-6", "h must be > 0, got -1.75000024999975e-06"),
+    ])
+    def test_chain_errors_exit_2(self, capsys, argv, message):
+        assert main(["bt", *argv.split()]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_inadmissible_cusp_exits_2(self):
         res = run_cli("bt", "--q", "1", "--m", "0.3")

@@ -5,15 +5,15 @@ unfolding Jacobian was shared across a cusp base and before the argument
 parser was built once per process.  The `analyze` cases sit at a generic
 point, on the folds h1, h2 and h3 (no cusp), at the cusp s1 and at the E8
 weak centre s2; `hopf` solves the E8 Hopf point; `bt` runs at eta = 0, at a
-perturbed eta and on grids.  The 21 x 21 grid (about 0.9 MB) is pinned by
-its SHA-256 instead of a file.
+perturbed eta and on grids.  Two 21 x 21 grids (about 0.9 MB each) are
+pinned by their SHA-256 instead of a file.
 
 Regenerate (only when an output change is intended and justified) with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-which rewrites the files and prints the 21 x 21 grid's digest for
-BT_GRID21_SHA256.
+which rewrites the files and prints the 21 x 21 grids' digests for
+BT_GRID21_SHA256 and BT_GRID21_MIRRORED_SHA256.
 """
 from __future__ import annotations
 
@@ -47,14 +47,21 @@ CASES = {
 
 # SHA-256 of the output of `bt --q 1 --m 0.1 --grid 21`
 BT_GRID21_SHA256 = "424ecd5979cefd9f327d993007af9640dd0042d8fde12a506d1c52336b1b6b2f"
+# and of `bt --q 1 --m 0.225 --grid 21 --eta-box 1e-3`, whose top three rows
+# take the chain's mirrored branch
+BT_GRID21_MIRRORED_SHA256 = "d5f7d93d78481a81446e95207b4047d0f4eefaf36d55c8b8dd47fa1a47d7678b"
 
 
 def _run(argv: str, out: Path) -> int:
     return main([*argv.split(), "--out", str(out)])
 
 
-def _grid21_digest(out: Path) -> str:
-    assert _run("bt --q 1 --m 0.1 --grid 21", out) == 0
+GRID21 = "bt --q 1 --m 0.1 --grid 21"
+GRID21_MIRRORED = "bt --q 1 --m 0.225 --grid 21 --eta-box 1e-3"
+
+
+def _grid21_digest(out: Path, argv: str = GRID21) -> str:
+    assert _run(argv, out) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
@@ -69,9 +76,16 @@ def test_bt_grid21_matches_pinned_digest(tmp_path):
     assert _grid21_digest(tmp_path / "bt_grid21.json") == BT_GRID21_SHA256
 
 
+def test_bt_mirrored_grid21_matches_pinned_digest(tmp_path):
+    digest = _grid21_digest(tmp_path / "bt_grid21.json", GRID21_MIRRORED)
+    assert digest == BT_GRID21_MIRRORED_SHA256
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name in sorted(CASES):
         assert _run(CASES[name], GOLDEN / f"{name}.json") == 0, name
     with tempfile.TemporaryDirectory() as tmp:
         print("BT_GRID21_SHA256 =", _grid21_digest(Path(tmp) / "bt_grid21.json"))
+        print("BT_GRID21_MIRRORED_SHA256 =",
+              _grid21_digest(Path(tmp) / "bt_grid21.json", GRID21_MIRRORED))

@@ -1,5 +1,6 @@
-"""The canonical JSON writer against the json module, the CSV writer
-against a row-wise reference, and the checks of SweepSpec."""
+"""The canonical JSON writer against the json module, its column-wise
+writer and the CSV writer against row-wise references, and the checks of
+SweepSpec."""
 from __future__ import annotations
 
 import json
@@ -15,6 +16,7 @@ from allee_lab.reporting import (
     SWEEP_COLUMNS,
     SweepSpec,
     dumps_canonical,
+    dumps_canonical_rows,
     sweep_csv,
     trajectory_csv,
 )
@@ -120,6 +122,67 @@ def test_non_str_key_raises_type_error(key):
         dumps_canonical({key: 1})
     with pytest.raises(TypeError, match="keys must be str"):
         dumps_canonical([{"a": {key: 1}}])
+
+
+def _row(doc, i: int):
+    # report i of a column document: each tuple replaced by its i-th value
+    if isinstance(doc, tuple):
+        return doc[i]
+    if isinstance(doc, dict):
+        return {k: _row(v, i) for k, v in doc.items()}
+    return [_row(v, i) for v in doc] if isinstance(doc, list) else doc
+
+
+class _Column(int):
+    """A leaf of a drawn report tree that takes the column of that index."""
+
+
+# "\0" is the writer's hole, and "%" must not reach its row format unescaped
+_keys = st.one_of(texts, st.sampled_from(["%", "%s", "%%d"])).filter(lambda t: t != "\0")
+_trees = st.dictionaries(_keys, st.recursive(
+    st.one_of(st.integers(0, 2).map(_Column), st.none(), st.booleans(), st.integers(),
+              finite, _keys),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(_keys, children, max_size=4)),
+    max_leaves=8), max_size=4)
+
+
+def _fill(tree, columns):
+    if isinstance(tree, _Column):
+        return columns[tree]
+    if isinstance(tree, dict):
+        return {k: _fill(v, columns) for k, v in tree.items()}
+    return [_fill(v, columns) for v in tree] if isinstance(tree, list) else tree
+
+
+@st.composite
+def column_docs(draw) -> tuple[dict, int]:
+    # a report tree whose leaves are shared scalars or one of three columns,
+    # so that a column can appear twice; column values repeat and may be
+    # zeros of either sign or non-finite
+    n = draw(st.integers(min_value=1, max_value=5))
+    pool = draw(st.lists(st.one_of(finite, st.floats()), min_size=1, max_size=4))
+    column = st.one_of(st.lists(st.sampled_from(pool), min_size=n, max_size=n),
+                       st.lists(st.booleans(), min_size=n, max_size=n)).map(tuple)
+    columns = [draw(column) for _ in range(3)]
+    doc = _fill(draw(_trees), columns)
+    doc["\0 column"] = columns[0]  # at least one column
+    return doc, n
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(column_docs())
+def test_rows_equal_the_row_wise_writer(doc_rows):
+    doc, n = doc_rows
+    rows = [_row(doc, i) for i in range(n)]
+    try:
+        want = dumps_canonical(rows)
+    except ValueError as err:  # a non-finite value: the same one is named
+        with pytest.raises(ValueError) as got:
+            dumps_canonical_rows(doc)
+        assert str(got.value) == str(err)
+    else:
+        assert dumps_canonical_rows(doc) == want
 
 
 @pytest.mark.parametrize("seed", [3, 17])
