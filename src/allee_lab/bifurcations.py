@@ -26,7 +26,7 @@ import enum
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .equilibria import (
     BT_JAC_DET_TOL, CUSP_BASE_TOL, F20_RTOL, HOPF_TRACE_RTOL, PHI_RTOL, TRANSVERSALITY_TOL,
@@ -40,7 +40,8 @@ from .errors import (
     NotSemiDegenerate,
     SignAssumptionViolated,
 )
-from .model import ModelParams, State, TaylorCoefficients, derivatives
+from .model import (ModelParams, State, TaylorCoefficients, _check_allee_threshold,
+                    _check_positive_finite, derivatives)
 from .normal_forms import _bilinear, taylor_at
 
 __all__ = [
@@ -68,8 +69,7 @@ class SotomayorVerdict(enum.Enum):
     DEGENERATE = "Degenerate"
 
 
-@dataclass(frozen=True)
-class SotomayorReport:
+class SotomayorReport(NamedTuple):
     v: tuple[float, float]
     w: tuple[float, float]
     transversality1: float
@@ -133,8 +133,7 @@ class HopfDirection(enum.Enum):
     UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
-class HopfReport:
+class HopfReport(NamedTuple):
     s_critical: float
     transversality: float
     M: float
@@ -268,8 +267,7 @@ class BTVerdict(enum.Enum):
     DEGENERATE = "Degenerate"
 
 
-@dataclass(frozen=True)
-class BTReport:
+class BTReport(NamedTuple):
     eta: tuple[float, float]
     ladder: dict[str, dict[str, float]]
     l00: float
@@ -288,8 +286,10 @@ def cusp_base_params(q: float, m: float) -> ModelParams:
     The harvest is pinned to the diagonal fold value h3 = 1/(4(q+1)) and the
     growth rate to the trace-zero value s1 there; raises
     CuspConditionsViolated when that growth rate is not admissible
-    (requires m < 2*h3).
+    (requires m < 2*h3).  q and m are checked first, as ModelParams checks them.
     """
+    _check_positive_finite((("q", q), ("m", m)))
+    _check_allee_threshold(m)
     h3 = _h3(q)
     if abs(m - 2.0 * h3) <= CUSP_BASE_TOL:
         raise CuspConditionsViolated(f"m = 2*h3 = {2 * h3}: trace cannot vanish at the fold point")

@@ -29,8 +29,8 @@ import enum
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .errors import DomainViolation, NoCrossings, StepBudgetExceeded
 from .model import ModelParams, State, _field, _linspace
@@ -309,8 +309,7 @@ class TerminalReason(enum.Enum):
     DIVERGED = "Diverged"
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     t: list[float]
     x: list[float]
     y: list[float]
@@ -404,8 +403,7 @@ class CycleStability(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class CycleDetection:
+class CycleDetection(NamedTuple):
     found: bool
     period: float | None
     amplitude: float | None

@@ -30,7 +30,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InconsistentInput, NotRepresentable
@@ -130,8 +129,7 @@ class StabilityClass(enum.Enum):
     DEGENERATE = "Degenerate"
 
 
-@dataclass(frozen=True)
-class BranchDiscriminants:
+class BranchDiscriminants(NamedTuple):
     """Quadratic data of the three equilibrium branches.
 
     A is the root sum of the Allee-line quadratic, C the root sum of the
@@ -147,8 +145,7 @@ class BranchDiscriminants:
     delta2: float
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(NamedTuple):
     """A located, classified equilibrium.
 
     Coincident roots coming from different branches are merged; all
@@ -177,8 +174,7 @@ class Equilibrium:
         return self.state.y
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     """Critical parameter values of the fold/Hopf/cusp surfaces.
 
     h1 : harvest at which an Allee-line equilibrium collides with (m, m)
@@ -197,7 +193,7 @@ class Thresholds:
     s1: float | None
     s2: float | None
     s3: float | None
-    absent: dict[str, str] = field(default_factory=dict)
+    absent: dict[str, str]
 
 
 class Linearization(NamedTuple):
@@ -329,9 +325,22 @@ def _solve_branch(p: ModelParams, branch: Branch) -> list[Equilibrium]:
     ]
 
 
+def _representable(p: ModelParams, values: dict[str, float | None]) -> None:
+    """Raise NotRepresentable, naming p's h, q and m, at the first of
+    `values` that overflowed or is NaN (4h overflows from h of about 4.5e307)."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise NotRepresentable(f"{name} = {value} is not representable in double "
+                                   f"precision at h = {p.h} with q = {p.q} and m = {p.m}")
+
+
 def discriminants(p: ModelParams) -> BranchDiscriminants:
-    """Root sums and discriminants of the Allee-line and diagonal quadratics."""
+    """Root sums and discriminants of the Allee-line and diagonal quadratics.
+
+    Raises NotRepresentable when a discriminant is not finite.
+    """
     _, (A, _, delta1), (C, _, delta2) = _branch_quadratics(p.q, p.h, p.m)
+    _representable(p, {"delta1": delta1, "delta2": delta2})
     return BranchDiscriminants(
         A=A,
         B=math.sqrt(delta1) if delta1 >= 0 else None,
@@ -454,7 +463,8 @@ def thresholds(p: ModelParams) -> Thresholds:
     """Evaluate the critical surfaces at the given parameter point.
 
     s-thresholds with a vanishing denominator, and s2/s3 when the diagonal
-    pair does not exist, are reported absent rather than raising.
+    pair does not exist, are reported absent rather than raising; a value
+    that is not finite raises NotRepresentable.
     """
     absent: dict[str, str] = {}
     if abs(p.m - 2.0 * p.h) <= DENOMINATOR_TOL:
@@ -473,15 +483,10 @@ def thresholds(p: ModelParams) -> Thresholds:
             return None
         return _s_trace_zero(p.q, p.m, pair[k])
 
-    return Thresholds(
-        h1=_h1(p.q, p.m),
-        h2=0.25,
-        h3=_h3(p.q),
-        s1=s1,
-        s2=s_crit(0, "s2"),
-        s3=s_crit(1, "s3"),
-        absent=absent,
-    )
+    values = {"h1": _h1(p.q, p.m), "h2": 0.25, "h3": _h3(p.q), "s1": s1,
+              "s2": s_crit(0, "s2"), "s3": s_crit(1, "s3")}
+    _representable(p, values)
+    return Thresholds(**values, absent=absent)
 
 
 def full_portrait(p: ModelParams) -> list[Equilibrium]:
@@ -510,8 +515,7 @@ def full_portrait(p: ModelParams) -> list[Equilibrium]:
 # the generic portrait of many parameter points at once
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PortraitBatch:
+class PortraitBatch(NamedTuple):
     """Branch counts, classes, discriminants and thresholds of N parameter
     points, computed as arrays.
 

@@ -25,7 +25,6 @@ return arrays; they import numpy when called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -49,17 +48,48 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def _check_positive_finite(params, names: tuple[str, ...]) -> None:
-    for name in names:
-        value = getattr(params, name)
+def _check_positive_finite(values) -> None:
+    # values: (name, value) pairs
+    for name, value in values:
         if not math.isfinite(value):
             raise NonFiniteParameter(f"{name} must be finite, got {value}")
         if not value > 0:
             raise NonPositiveParameter(f"{name} must be > 0, got {value}")
 
 
-@dataclass(frozen=True)
-class DimensionalParams:
+def _check_allee_threshold(m: float) -> None:
+    if not m < 1:
+        raise AlleeThresholdOutOfRange(f"m must lie in (0, 1), got {m}")
+
+
+class _Checked:
+    """Base of a named-tuple record whose `_check` runs on every record
+    built: by the constructor, by `_make` and so by `_replace`, which
+    builds through `_make`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _DimensionalFields(NamedTuple):
+    r: float
+    K: float
+    q: float
+    b: float
+    s: float
+    h: float
+    m: float
+
+
+class DimensionalParams(_Checked, _DimensionalFields):
     """Parameters of the dimensional system.
 
     r : intrinsic prey growth rate (1/time)
@@ -71,35 +101,30 @@ class DimensionalParams:
     m : Allee threshold (density)
     """
 
-    r: float
-    K: float
+    __slots__ = ()
+
+    def _check(self) -> None:
+        _check_positive_finite(zip(self._fields, self))
+
+
+class _ModelFields(NamedTuple):
     q: float
-    b: float
     s: float
     h: float
     m: float
 
-    def __post_init__(self) -> None:
-        _check_positive_finite(self, ("r", "K", "q", "b", "s", "h", "m"))
 
-
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(_Checked, _ModelFields):
     """Dimensionless parameter vector (q, s, h, m); requires 0 < m < 1."""
 
-    q: float
-    s: float
-    h: float
-    m: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_positive_finite(self, ("q", "s", "h", "m"))
-        if not self.m < 1:
-            raise AlleeThresholdOutOfRange(f"m must lie in (0, 1), got {self.m}")
+    def _check(self) -> None:
+        _check_positive_finite(zip(self._fields, self))
+        _check_allee_threshold(self.m)
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """A point (x, y) of the phase plane; admissible states have x > 0, y >= 0."""
 
     x: float
@@ -112,8 +137,8 @@ class TaylorCoefficients(NamedTuple):
     a_ij multiplies dx^i dy^j in the prey component, b_ij in the predator
     component, so a_ij = (d^(i+j) f1 / dx^i dy^j) / (i! j!).  The prey
     component is quadratic: a02 and every a_ij with i + j = 3 are zero.
-    A named tuple: `derivatives` builds one per call, and a tuple of 20
-    fields builds about five times faster than a frozen dataclass.
+    A named tuple, as every record of the package: `derivatives` builds
+    one per call.
     """
 
     a00: float
@@ -174,7 +199,7 @@ def nondimensionalize(p: DimensionalParams) -> ModelParams:
 
 
 def _field(q: float, s: float, h: float, m: float, x: float, y: float) -> tuple[float, float]:
-    # hot path shared with the integrator; no State/dataclass overhead
+    # hot path shared with the integrator; no State record built
     return x * (1.0 - x) - q * x * y - h, s * y * (1.0 - y / x) * (y - m)
 
 
@@ -201,17 +226,17 @@ def derivatives(p: ModelParams, u: State) -> TaylorCoefficients:
     The predator component is written as f2 = s*(y^2 - m*y - g/x) with
     g = y^3 - m*y^2, so the x-dependence sits entirely in the 1/x factor.
     """
-    if not u.x > 0:
-        raise DomainViolation(f"prey density must be positive, got x = {u.x}")
-    q, s, m = p.q, p.s, p.m
-    x, y = u.x, u.y
+    q, s, h, m = p  # unpacked: a named tuple's fields read slower one by one
+    x, y = u
+    if not x > 0:
+        raise DomainViolation(f"prey density must be positive, got x = {x}")
 
     g = y * y * (y - m)                # y^3 - m y^2
     g_y = 3.0 * y * y - 2.0 * m * y
     g_yy = 6.0 * y - 2.0 * m
     ix = 1.0 / x
     ix2 = ix * ix
-    a00, b00 = _field(q, s, p.h, m, x, y)
+    a00, b00 = _field(q, s, h, m, x, y)
     a10, a01, b10, b01 = _jacobian(q, s, m, x, y)
 
     # positional: keyword arguments make this hot constructor slower

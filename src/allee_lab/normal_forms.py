@@ -22,7 +22,7 @@ generalized direction has first component 0.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotDoublyDegenerate, NotSemiDegenerate
 from .model import ModelParams, State, TaylorCoefficients, derivatives
@@ -43,8 +43,7 @@ class SaddleNodeVerdict(enum.Enum):
     NEEDS_HIGHER_ORDER = "NeedsHigherOrder"
 
 
-@dataclass(frozen=True)
-class SaddleNodeCheck:
+class SaddleNodeCheck(NamedTuple):
     c20: float
     rho: float
     verdict: SaddleNodeVerdict
@@ -55,8 +54,7 @@ class CuspVerdict(enum.Enum):
     DEGENERATE = "Degenerate"
 
 
-@dataclass(frozen=True)
-class CuspCheck:
+class CuspCheck(NamedTuple):
     g20: float
     g11: float
     verdict: CuspVerdict

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from allee_lab import reporting
 from allee_lab.bifurcations import bt_normal_form, cusp_base_params
 from allee_lab.cli import main
 from allee_lab.errors import SignAssumptionViolated
@@ -181,6 +182,13 @@ class TestBT:
          "--eta1 and --eta2 cannot be combined with --grid"),
         (("--eta-box", "1e-3"), "--eta-box applies only with --grid"),
         (("--eta-box", "1e-3", "--eta1", "5e-3"), "--eta-box applies only with --grid"),
+        # q and m are checked as ModelParams checks them, before the cusp base
+        # is built from them (q = -1 divided by zero there, exit 3)
+        (("--q=-1", "--m=0.5"), "q must be > 0, got -1.0"),
+        (("--q=0",), "q must be > 0, got 0.0"),
+        (("--q=nan",), "q must be finite, got nan"),
+        (("--q=-0.5",), "q must be > 0, got -0.5"),
+        (("--m=1.5",), "m must lie in (0, 1), got 1.5"),
     ])
     def test_off_cusp_base_exits_2(self, capsys, flag, named):
         assert main(["bt", "--q", "1", "--m", "0.1", *flag]) == 2
@@ -443,7 +451,8 @@ class TestSweep:
                    for r in rows[1:])
 
 
-# prints whether numpy is loaded after the imports and after each command
+# prints whether numpy is loaded after the imports and after each command;
+# no command may load dataclasses (whose import pulls in inspect) or scipy
 _LOADED_AFTER_EACH = """
 import json, sys
 import allee_lab as al, allee_lab.cli as cli
@@ -454,6 +463,7 @@ assert "numpy" not in sys.modules  # the simulation oracle runs on floats
 loaded = ["numpy" in sys.modules]
 for argv in json.loads(sys.argv[1]):
     assert cli.main([*argv, "--out", sys.argv[2]]) == 0, argv
+    assert "dataclasses" not in sys.modules, argv
     loaded.append("numpy" in sys.modules)
 assert "scipy" not in sys.modules
 print(json.dumps(loaded))
@@ -468,8 +478,13 @@ class TestLazyImports:
               ["hopf", "--q=1", "--h=0.12", "--m=0.1"],
               ["bt", "--q=1", "--m=0.1"],
               ["bt", "--q=1", "--m=0.1", "--grid=3"]], [False] * 5),
+            # up to ROW_SWEEP_MAX points a sweep runs row by row, without numpy
             ([["sweep", "--parameter=h", "--lo=0.2", "--hi=0.3", "--steps=11",
-               "--q=1", "--s=1", "--m=0.2"]], [False, True]),
+               "--q=1", "--s=1", "--m=0.2"],
+              ["sweep", "--parameter=h", "--lo=0.2", "--hi=0.3",
+               f"--steps={reporting.ROW_SWEEP_MAX}", "--q=1", "--s=1", "--m=0.2"],
+              ["sweep", "--parameter=h", "--lo=0.005", "--hi=0.305", "--steps=301",
+               "--q=1", "--s=1", "--m=0.2"]], [False, False, False, True]),
             ([["simulate", "--q=1", "--s=1", "--h=0.21", "--m=0.2", "--x0=0.71",
                "--y0=0.01", "--tmax=5"]], [False, False]),
         ]

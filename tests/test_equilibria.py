@@ -155,8 +155,7 @@ class TestClassification:
     def test_non_equilibrium_rejected(self):
         p = al.ModelParams(q=1, s=1, h=0.21, m=0.2)
         e2, _ = al.solve_branch_prey_axis(p)
-        import dataclasses
-        fake = dataclasses.replace(e2, state=al.State(0.75, 0.01))
+        fake = e2._replace(state=al.State(0.75, 0.01))
         with pytest.raises(InconsistentInput):
             al.classify(p, fake)
 

@@ -42,6 +42,30 @@ class TestNondimensionalize:
         with pytest.raises(NonFiniteParameter, match=f"s must be finite, got {bad}"):
             al.ModelParams(q=1, s=bad, h=0.1, m=0.2)
 
+    @pytest.mark.parametrize("record, field, bad, error", [
+        *((al.ModelParams, name, bad, error) for name in "qshm" for bad, error in (
+            (0.0, NonPositiveParameter), (-1.0, NonPositiveParameter),
+            (math.nan, NonFiniteParameter), (math.inf, NonFiniteParameter))),
+        (al.ModelParams, "m", 1.0, AlleeThresholdOutOfRange),
+        *((al.DimensionalParams, name, bad, error) for name in "rKqbshm" for bad, error in (
+            (0.0, NonPositiveParameter), (math.nan, NonFiniteParameter))),
+    ])
+    def test_every_way_of_building_a_record_checks_it(self, record, field, bad, error):
+        valid = {al.ModelParams: {"q": 1.0, "s": 1.0, "h": 0.1, "m": 0.2},
+                 al.DimensionalParams: {"r": 1.0, "K": 1.0, "q": 1.0, "b": 1.0, "s": 1.0,
+                                        "h": 0.1, "m": 0.2}}[record]
+        good = record(**valid)
+        values = {**valid, field: bad}
+        with pytest.raises(error, match=f"^{field} must"):
+            record(**values)
+        with pytest.raises(error, match=f"^{field} must"):
+            good._replace(**{field: bad})
+        with pytest.raises(error, match=f"^{field} must"):
+            record._make(values.values())
+        with pytest.raises(AttributeError):
+            setattr(good, field, bad)
+        assert good == record._make(valid.values()) == good._replace()
+
     def test_scale_consistency_with_dimensional_flow(self):
         """Integrating the dimensional system and rescaling state/time must
         reproduce the dimensionless flow."""

@@ -254,3 +254,11 @@ def test_sweep_csv_keeps_each_zero_and_number_type():
 def test_sweep_spec_rejects(parameter, lo, hi, steps, fixed, named):
     with pytest.raises(ValueError, match=named):
         SweepSpec(parameter, lo, hi, steps, fixed)
+    # _make and _replace, which builds through _make, check as the constructor does
+    with pytest.raises(ValueError, match=named):
+        SweepSpec._make((parameter, lo, hi, steps, fixed))
+    good = SweepSpec("h", 0.1, 0.2, 3, {"q": 1.0, "s": 1.0, "m": 0.2})
+    with pytest.raises(ValueError, match=named):
+        good._replace(parameter=parameter, lo=lo, hi=hi, steps=steps, fixed=fixed)
+    with pytest.raises(AttributeError):
+        good.steps = steps

@@ -1,14 +1,18 @@
 """Differential test: the array sweep against the scalar reference.
 
-`run_sweep` evaluates a grid with `equilibria.portrait_batch` into one list
-per column and sends the points it leaves undecided through `_sweep_row`,
-the scalar path that builds one `full_portrait` per point.  Every cell must
-equal the scalar row's, on seeded random grids and on grids with points
+`_sweep_arrays`, which `run_sweep` takes for grids of more than
+ROW_SWEEP_MAX points, evaluates a grid with `equilibria.portrait_batch`
+into one list per column and sends the points it leaves undecided through
+`_sweep_row`, the scalar path that builds one `full_portrait` per point.
+The tests call it directly, at every grid size.  Every cell must equal the
+scalar row's, on seeded random grids and on grids with points
 tight on the folds h1, h2, h3 and the Allee-line fold, the cusp s1, the Hopf
-surfaces s2 and s3, harvests from 1e-300 to 1e200, and sweeps of s, q, h
+surfaces s2 and s3, harvests from 1e-300 to 1e308, and sweeps of s, q, h
 and m over many decades.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +20,8 @@ import pytest
 from allee_lab import equilibria as eq
 from allee_lab import reporting
 from allee_lab.model import ModelParams
-from allee_lab.reporting import SWEEP_COLUMNS, SweepSpec, _sweep_row, run_sweep, sweep_csv
+from allee_lab.reporting import (SWEEP_COLUMNS, SweepSpec, _sweep_arrays, _sweep_row, run_sweep,
+                                 sweep_csv)
 
 STEPS = 125
 
@@ -63,11 +68,17 @@ TINY_HARVESTS = [
     SweepSpec("h", 1e-300, 0.3, 40, {"q": 1.0, "s": 1.0, "m": 0.2}),
 ]
 
+# harvests past 4h's overflow near 4.5e307: the last two rows are error
+# rows, where delta1 and delta2 would be -inf and s1 NaN
+OVERFLOWING_HARVEST = SweepSpec("h", 1e307, 1e308, 3, {"q": 1.0, "s": 1.0, "m": 0.2})
+
 # harvests past every fold, where the discriminant has the size of the
-# root product: no branch has a root and no row may be skipped
+# root product: no branch has a root and, until 4h overflows, no row may
+# be skipped; no cell may be inf or NaN
 LARGE_HARVESTS = [
     SweepSpec("h", 1e10, 1e11, 40, {"q": 1.0, "s": 1.0, "m": 0.2}),
     SweepSpec("h", 1e11, 1e200, 40, {"q": 3.0, "s": 0.5, "m": 0.7}),
+    OVERFLOWING_HARVEST,
 ]
 
 # sweeps over many decades of one parameter, where both paths skip rows or
@@ -89,7 +100,7 @@ def _transposed(rows: list[dict]) -> dict[str, list]:
 
 @pytest.fixture
 def fallbacks(monkeypatch) -> list[float]:
-    """Grid values that `run_sweep` sent through the scalar path."""
+    """Grid values sent through the scalar path `_sweep_row`."""
     seen: list[float] = []
 
     def counting(spec, value):
@@ -105,11 +116,17 @@ def test_batch_rows_equal_scalar_rows(fallbacks):
     for spec in _specs(20261018) + TINY_HARVESTS + LARGE_HARVESTS + EXTREME_SCALES:
         before = len(fallbacks)
         scalar = _transposed([_sweep_row(spec, v) for v in spec.grid()])
-        columns = run_sweep(spec)
+        columns = _sweep_arrays(spec)
         assert list(columns) == list(SWEEP_COLUMNS), spec
         assert columns == scalar, spec
         assert sweep_csv(columns) == sweep_csv(scalar), spec
         if spec in LARGE_HARVESTS:
+            cells = [cell for column in columns.values() for cell in column]
+            assert all(math.isfinite(cell) for cell in cells if type(cell) is float), spec
+        if spec == OVERFLOWING_HARVEST:
+            assert columns["skipped"] == [0, 1, 1]
+            assert all(e.startswith("NotRepresentable: ") for e in columns["error"][1:])
+        elif spec in LARGE_HARVESTS:
             assert not any(columns["skipped"]), spec
         points += spec.steps
         on_fold = spec.fixed.get("h") == 1.0 / (4.0 * (spec.fixed.get("q", 0.0) + 1.0))
@@ -125,7 +142,19 @@ def test_batch_rows_equal_scalar_rows(fallbacks):
 
 def test_degenerate_rows_take_the_scalar_path(fallbacks):
     spec = SweepSpec("h", 0.2, 0.3, 101, {"q": 1.0, "s": 1.0, "m": 0.2})
-    columns = run_sweep(spec)
+    columns = _sweep_arrays(spec)
     assert columns["class_E1"][50] == "SaddleNode" and columns["on_h2"][50] == 1
     # (0.6, 0) at h = 0.24 sits on the node/focus boundary
     assert fallbacks == [spec.grid()[40], columns["value"][50]]
+
+
+def test_run_sweep_takes_rows_up_to_the_cutoff(fallbacks):
+    fixed = {"q": 1.0, "s": 1.0, "m": 0.2}
+    small = SweepSpec("h", 0.005, 0.305, reporting.ROW_SWEEP_MAX, fixed)
+    columns = run_sweep(small)
+    assert fallbacks == small.grid()
+    assert columns == _sweep_arrays(small)
+    del fallbacks[:]
+    large = SweepSpec("h", 0.005, 0.305, reporting.ROW_SWEEP_MAX + 1, fixed)
+    assert run_sweep(large) == _transposed([_sweep_row(large, v) for v in large.grid()])
+    assert len(fallbacks) < 0.1 * large.steps
