@@ -312,30 +312,49 @@ def _check_cusp_base(p: ModelParams) -> ModelParams:
     return base
 
 
-# the chain's stages and the coefficients each keeps, in the order _ladder
-# returns them and a report lists them
+# the chain's stages and the coefficients each keeps, in the order a report
+# lists them
 _QUADRATIC = ("00", "10", "01", "20", "11", "02")
 _LADDER_KEYS = (("a", _QUADRATIC), ("b", _QUADRATIC), ("c", ("00", "20", "11")),
                 ("d", _QUADRATIC), ("e", _QUADRATIC), ("f", _QUADRATIC[:5]),
                 ("g", ("00", "10", "01", "11")), ("h", ("00", "01", "11")), ("l", ("00", "01")))
+# coefficients a stage passes on unchanged: (stage, key) pairs whose cells
+# are the same float objects wherever the chain does not change them
+_PASSED_ON = ((("a", "00"), ("c", "00")), (("e", "00"), ("f", "00")),
+              (("e", "01"), ("f", "01")), (("g", "11"), ("h", "11")))
 
 
-def _ladder(base: ModelParams, eta: tuple[float, float]) -> tuple[tuple[float, ...], bool]:
-    """Run the coefficient chain once at base, the exact cusp point, moved
-    by eta; returns (the coefficients in _LADDER_KEYS order, mirrored)."""
+def _halves(base: ModelParams, eta1: float, eta2: float) -> tuple[tuple[float, ...], ...]:
+    """The chain's inputs at base, the exact cusp point, moved by (eta1, eta2),
+    from one expansion; returns (the eta1 half, the eta2 half).
+
+    At (x7, x7) the prey equation never reads s and the predator equation
+    never reads h, so the eta1 half (stages a and c, and d00) is the same
+    at every eta2, and the eta2 half (stage b and the rest of stage d,
+    which also read the h-free a10, a01, a20 and a11) at every eta1.  The
+    cusp identities have one home each: a00 = -eta1 in the eta1 half, and
+    b00 = 0, det J = -d10 and tr J = d01 in the eta2 half.
+    """
     x7 = 2.0 * base.h
-    p = ModelParams(q=base.q, s=base.s + eta[1], h=base.h + eta[0], m=base.m)
-    t = taylor_at(p, State(x7, x7))
+    t = taylor_at(ModelParams(base.q, base.s + eta2, base.h + eta1, base.m), State(x7, x7))
     a00, a10, a01, a20, a11, a02 = t[:6]
     b00, b10, b01, b20, b11, b02 = t[10:16]
 
     # straighten the linear part: u2 = u1, v2 = a10*u1 + a01*v1
-    c00, c20, c11 = a00, a20 - a11 * a10 / a01, a11 / a01
-    d00, d10, d01 = a00 * a10, a01 * b10 - a10 * b01, a10 + b01
+    c20, c11 = a20 - a11 * a10 / a01, a11 / a01
     d20 = (a10 * a20 + a01 * b20 - a10 * b11
            - a10 ** 2 * a11 / a01 + a10 ** 2 * b02 / a01)
     d11 = b11 + a10 * a11 / a01 - 2.0 * a10 * b02 / a01
-    d02 = b02 / a01
+    return ((a00, a10, a01, a20, a11, a02, a00, c20, c11, a00 * a10),
+            (b00, b10, b01, b20, b11, b02, a01 * b10 - a10 * b01, a10 + b01, d20, d11, b02 / a01))
+
+
+def _ladder(eta1_half: tuple[float, ...],
+            eta2_half: tuple[float, ...]) -> tuple[tuple[float, ...], bool]:
+    """Stages e to l of the chain on one point's halves; returns (their
+    coefficients in _LADDER_KEYS order, mirrored)."""
+    c00, c20, c11, d00 = eta1_half[6:]
+    d10, d01, d20, d11, d02 = eta2_half[6:]
 
     # flatten the first equation: v3 = du2/dt (exact quadratic coefficients
     # of the transformed second equation, including the perturbation-sized
@@ -363,10 +382,8 @@ def _ladder(base: ModelParams, eta: tuple[float, float]) -> tuple[tuple[float, .
     k = math.sqrt(-f20)
     g00, g10, g01, g11 = -f00 / f20, -f10 / f20, f01 / k, f11 / k
     h00, h01, h11 = g00 + 0.25 * g10 ** 2, g01 + 0.5 * g10 * g11, g11
-    return (a00, a10, a01, a20, a11, a02, b00, b10, b01, b20, b11, b02,
-            c00, c20, c11, d00, d10, d01, d20, d11, d02, e00, e10, e01, e20, e11, e02,
-            f00, f10, f01, f20, f11, g00, g10, g01, g11, h00, h01, h11,
-            -h00 * h11 ** 4, -h01 * h11), mirrored
+    return (e00, e10, e01, e20, e11, e02, f00, f10, f01, f20, f11, g00, g10, g01, g11,
+            h00, h01, h11, -h00 * h11 ** 4, -h01 * h11), mirrored
 
 
 def _det2(a: float, b: float, c: float, d: float) -> float:
@@ -401,8 +418,8 @@ def _unfolding_jacobian_det(q: float, m: float, jac_step: float) -> float:
     p_base = cusp_base_params(q, m)
 
     def l_column(d1: float, d2: float) -> tuple[float, float]:
-        plus, _ = _ladder(p_base, (d1, d2))
-        minus, _ = _ladder(p_base, (-d1, -d2))
+        plus, _ = _ladder(*_halves(p_base, d1, d2))
+        minus, _ = _ladder(*_halves(p_base, -d1, -d2))
         return tuple((plus[k] - minus[k]) / (2.0 * jac_step) for k in (-2, -1))
 
     (a, c), (b, d) = l_column(jac_step, 0.0), l_column(0.0, jac_step)
@@ -438,25 +455,43 @@ def _bt_grid(p_base: ModelParams, etas: list[tuple[float, float]],
 
     The cusp base is checked once and the unfolding Jacobian is found once,
     after the first chain; each eta is checked and run through the chain in
-    order, so a grid fails as its first failing point would alone.
+    order, so a grid fails as its first failing point would alone.  The
+    halves are kept by eta1 and by eta2: a point that brings a new eta1 or
+    eta2 costs one expansion, so an N x N grid costs 2N - 1.
     """
     base = _check_cusp_base(p_base)
-    ladders, mirrored, jac_det = [], [], None
+    eta1_halves, eta2_halves = {}, {}  # 0.0 and -0.0 share a key and their halves
+    chains, mirrored, jac_det = [], [], None
     for eta in etas:
-        if math.hypot(*eta) > 1e-2:
+        size = math.hypot(*eta)
+        if size > 1e-2:
             raise ValueError(f"perturbation {eta} too large; the chain is local (|eta| <= 1e-2)")
-        values, flipped = _ladder(base, eta)
-        ladders.append(values)
+        if size != size:  # a NaN, which no bound rejects
+            raise ValueError(f"perturbation {eta} is not finite")
+        eta1, eta2 = eta
+        if eta1 not in eta1_halves or eta2 not in eta2_halves:
+            halves = _halves(base, eta1, eta2)
+            eta1_halves.setdefault(eta1, halves[0])
+            eta2_halves.setdefault(eta2, halves[1])
+        values, flipped = _ladder(eta1_halves[eta1], eta2_halves[eta2])
+        chains.append(values)
         mirrored.append(flipped)
         if jac_det is None:
             jac_det = _unfolding_jacobian_det(p_base.q, p_base.m, jac_step)
-    columns = zip(*ladders)
+    eta1s, eta2s = zip(*etas)
+    prey = list(zip(*map(eta1_halves.__getitem__, eta1s)))
+    predator = list(zip(*map(eta2_halves.__getitem__, eta2s)))
+    # stages a, b, c with d00, the rest of d, then e to l
+    columns = iter([*prey[:6], *predator[:6], *prey[6:], *predator[6:], *zip(*chains)])
     stages = {stage: {key: next(columns) for key in keys} for stage, keys in _LADDER_KEYS}
+    for (stage, key), (to_stage, to_key) in _PASSED_ON:  # one tuple, written once
+        if all(map(operator.is_, stages[stage][key], stages[to_stage][to_key])):
+            stages[to_stage][to_key] = stages[stage][key]
     f20 = stages["f"]["20"]
     if any(mirrored):  # the report's f20 is the one before mirroring
         f20 = tuple(-v if flipped else v for v, flipped in zip(f20, mirrored))
     return BTReport(
-        eta=tuple(zip(*etas)), ladder=stages, l00=stages["l"]["00"], l01=stages["l"]["01"],
+        eta=(eta1s, eta2s), ladder=stages, l00=stages["l"]["00"], l01=stages["l"]["01"],
         f20=f20, f11=stages["f"]["11"], h11=stages["h"]["11"], mirrored=tuple(mirrored),
         jac_det=(jac_det,) * len(etas),
         verdict=BTVerdict.BT_CODIM2 if jac_det > BT_JAC_DET_TOL else BTVerdict.DEGENERATE,

@@ -239,19 +239,36 @@ class _Texts(dict):
         return str(cell)
 
 
+def _looks_distinct(column) -> bool:
+    # a guess from two samples of up to 32 cells, the first ones and ones
+    # spread over the column; a wrong guess costs time, never bytes
+    spread = column[::len(column) // 32 or 1][:32]
+    return all(len(set(sample)) == len(sample) for sample in (column[:32], spread))
+
+
 def _column_text(column: list) -> list[str]:
     # str() of each cell, a float's being its shortest round-trip repr.
-    # That repr is the costly part, so a float column that repeats its
-    # values (a threshold fixed over the sweep) formats each distinct value
-    # once.  Equal cells must print alike: zeros are never memoised, since
-    # 0.0 == -0.0, and a column holding anything but floats and strs is
-    # never memoised, since 1 == 1.0
-    if column and type(column[0]) is float and set(map(type, column)) <= {float, str}:
+    # That repr is the costly part: a float column that looks distinct is
+    # formatted by float.__repr__ alone, and any other column formats each
+    # distinct value once.  Equal cells must print alike: float zeros are
+    # never memoised, since 0.0 == -0.0, and a column mixing ints and
+    # floats is never memoised, since 1 == 1.0
+    if column and type(column[0]) is float and _looks_distinct(column):
+        try:
+            return list(map(float.__repr__, column))
+        except TypeError:  # a cell that is not a float
+            pass
+    kinds = set(map(type, column))
+    if kinds == {str}:  # already text
+        return column
+    if kinds <= {int, str}:
         distinct = dict.fromkeys(column)
-        if 2 * len(distinct) <= len(column):
-            texts = _Texts((cell, str(cell)) for cell in distinct if cell != 0)
-            return list(map(texts.__getitem__, column))
-    return list(map(str, column))
+        texts = dict(zip(distinct, map(str, distinct)))
+    elif kinds <= {float, str}:
+        texts = _Texts((cell, str(cell)) for cell in dict.fromkeys(column) if cell != 0)
+    else:
+        return list(map(str, column))
+    return list(map(texts.__getitem__, column))
 
 
 def _csv(header, columns) -> str:

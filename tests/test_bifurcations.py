@@ -348,7 +348,7 @@ class TestBTNormalForm:
         # must carry exactly the value a fresh central difference gives
         def fresh_jac_det(p, step):
             def l_pair(e1, e2):
-                values, _ = bifurcations._ladder(p, (e1, e2))
+                values, _ = bifurcations._ladder(*bifurcations._halves(p, e1, e2))
                 return np.array(values[-2:])  # l00, l01
 
             jac = np.zeros((2, 2))
@@ -377,6 +377,85 @@ class TestBTNormalForm:
             al.bt_normal_form(al.ModelParams(q=1, s=1.0, h=0.125, m=0.1))  # s != s1
         with pytest.raises(ValueError):
             al.bt_normal_form(al.cusp_base_params(1.0, 0.1), (0.1, 0.0))  # |eta| too big
+
+    @pytest.mark.parametrize("eta", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])
+    def test_nan_perturbation_is_named(self, eta):
+        with pytest.raises(ValueError, match=rf"^perturbation \({eta[0]}, {eta[1]}\) is not finite$"):
+            al.bt_normal_form(al.cusp_base_params(1.0, 0.1), eta)
+
+
+def _hex(values):
+    # bitwise equality, zeros by their sign
+    return [float.hex(v) for v in values]
+
+
+# a cusp base, q log-uniform over [1e-4, 1e6] and m a fraction of 2*h3 (s1 > 0)
+_CUSP_BASES = st.tuples(st.floats(-4.0, 6.0), st.floats(0.01, 0.99)).map(
+    lambda u: al.cusp_base_params(10.0 ** u[0], u[1] * 0.5 / (10.0 ** u[0] + 1.0)))
+# a perturbation as a fraction of the base value, so h and s stay positive
+_FRACTIONS = st.floats(-0.9, 0.9)
+
+
+class TestBTHalves:
+    """At (x7, x7) the prey equation never reads s and the predator equation
+    never reads h, which lets a grid keep the chain's inputs by eta1 and by
+    eta2 and expand each new value once."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_CUSP_BASES, _FRACTIONS, _FRACTIONS)
+    def test_prey_reads_only_eta1_and_predator_only_eta2(self, base, f1, f2):
+        eta1, eta2 = f1 * base.h, f2 * base.s
+        x7 = al.State(2.0 * base.h, 2.0 * base.h)
+
+        def at(d1, d2):
+            return taylor_at(al.ModelParams(base.q, base.s + d2, base.h + d1, base.m), x7)
+
+        both, prey_only, predator_only, neither = at(eta1, eta2), at(eta1, 0.0), at(0.0, eta2), at(0.0, 0.0)
+        assert _hex(both[:6]) == _hex(prey_only[:6])
+        assert _hex(both[10:16]) == _hex(predator_only[10:16])
+        # the a-coefficients stage d reads never depend on h
+        for t in (both, prey_only, predator_only):
+            assert _hex((t.a10, t.a01, t.a20, t.a11)) == _hex((neither.a10, neither.a01,
+                                                               neither.a20, neither.a11))
+
+    @pytest.mark.parametrize("q, m, any_mirrored", [
+        (1.0, 0.1, False), (1.0, 0.225, True), (3e-3, 0.3, True), (2e4, 1e-5, True)])
+    def test_each_cell_equals_the_chain_on_its_own_expansion(self, q, m, any_mirrored):
+        # repeated, unordered and signed-zero etas, each cell checked
+        # against halves cut from a fresh expansion at that cell alone
+        base = al.cusp_base_params(q, m)
+        box = min(0.5 * base.h, 1e-3)
+        values = [0.5 * box, -0.0, -box, 0.0, box, 0.5 * box, -0.25 * box, 0.0]
+        etas = [(values[i], values[(3 * i + 1) % len(values)]) for i in range(len(values))]
+        etas += [(e2, e1) for e1, e2 in etas] + [(-0.0, -0.0), (0.0, 0.0), (-0.0, 0.0)]
+        grid = bifurcations._bt_grid(base, etas)
+        columns = [grid.ladder[stage][key] for stage, keys in bifurcations._LADDER_KEYS
+                   for key in keys]
+        assert len(columns) == 41
+        assert any(grid.mirrored) is any_mirrored
+        for i, (e1, e2) in enumerate(etas):
+            prey, predator = bifurcations._halves(base, e1, e2)
+            chain, mirrored = bifurcations._ladder(prey, predator)
+            want = (*prey[:6], *predator[:6], *prey[6:], *predator[6:], *chain)
+            assert _hex(column[i] for column in columns) == _hex(want)
+            assert grid.mirrored[i] is mirrored
+            assert _hex((grid.eta[0][i], grid.eta[1][i])) == _hex((e1, e2))
+            assert float.hex(grid.f20[i]) == float.hex(-chain[9] if mirrored else chain[9])
+
+    @pytest.mark.parametrize("q, m, mirrored", [(1.0, 0.1, 0), (1.0, 0.225, 63)])
+    def test_passed_on_coefficients_share_one_column(self, q, m, mirrored):
+        values = [-1e-3 + i * 1e-4 for i in range(21)]
+        grid = bifurcations._bt_grid(al.cusp_base_params(q, m),
+                                     [(e1, e2) for e1 in values for e2 in values])
+        lad = grid.ladder
+        assert sum(grid.mirrored) == mirrored
+        assert lad["c"]["00"] is lad["a"]["00"]
+        assert lad["f"]["01"] is lad["e"]["01"]
+        assert lad["h"]["11"] is lad["g"]["11"] is grid.h11
+        # f00 is e00 where the chain is not mirrored, and -e00 where it is
+        assert (lad["f"]["00"] is lad["e"]["00"]) is not bool(mirrored)
+        assert lad["f"]["00"] == tuple(-e if flip else e
+                                       for e, flip in zip(lad["e"]["00"], grid.mirrored))
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,11 @@ class TestBT:
         ("--q 1e6 --m 1e-7 --grid 3 --eta-box 1e-8", "h must be > 0, got -7.5000024999975e-07"),
         # both fail: the first cell runs before the Jacobian and is named
         ("--q 1e6 --m 1e-7 --grid 3 --eta-box 2e-6", "h must be > 0, got -1.75000024999975e-06"),
+        # a NaN perturbation is named as one, not as the h or s it would make
+        ("--q 1 --m 0.1 --eta2=nan", "perturbation (0.0, nan) is not finite"),
+        ("--q 1 --m 0.1 --eta1=nan", "perturbation (nan, 0.0) is not finite"),
+        ("--q 1 --m 0.1 --eta1=inf",
+         "perturbation (inf, 0.0) too large; the chain is local (|eta| <= 1e-2)"),
     ])
     def test_chain_errors_exit_2(self, capsys, argv, message):
         assert main(["bt", *argv.split()]) == 2
@@ -267,9 +272,10 @@ class TestBT:
         assert "not positive" in res.stderr
 
     @pytest.mark.parametrize("n", [1, 4])
-    def test_grid_runs_one_ladder_per_point_plus_the_jacobian(self, monkeypatch, tmp_path, n):
-        # one coefficient ladder per grid point, plus the four of the
-        # unfolding Jacobian once for the cusp base, from a cold start
+    def test_grid_runs_one_expansion_per_new_eta_plus_the_jacobian(self, monkeypatch, tmp_path, n):
+        # one expansion per cell that brings a new eta1 or a new eta2, so
+        # 2n - 1 on an n x n grid, plus the four of the unfolding Jacobian
+        # once for the cusp base, from a cold start
         import allee_lab.bifurcations as bif
 
         calls = []
@@ -282,7 +288,7 @@ class TestBT:
         monkeypatch.setattr(bif, "taylor_at", counting_taylor_at)
         argv = ["bt", "--q", "1", "--m", "0.1", "--grid", str(n), "--out", str(tmp_path / "g.json")]
         assert main(argv) == 0
-        assert len(calls) == n * n + 4
+        assert len(calls) == 2 * n - 1 + 4
 
 
 class TestSimulate:

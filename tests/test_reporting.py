@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from allee_lab.dynamics import integrate
 from allee_lab.model import ModelParams, State
 from allee_lab.reporting import (
+    _column_text,
     SWEEP_COLUMNS,
     SweepSpec,
     dumps_canonical,
@@ -240,6 +241,34 @@ def test_sweep_csv_keeps_each_zero_and_number_type():
     assert [line.split(",")[13:17] for line in text.splitlines()[1:]] == [
         ["0.0", "-0.0", "1.0", "2.5"], ["-0.0", "0.0", "1", "2.5"],
         ["0.0", "-0.0", "1.0", "2.5"], ["-0.0", "0.0", "1.0", "2.5"]]
+
+
+@st.composite
+def long_columns(draw) -> list:
+    # columns long enough for the formatter's guess at distinct values to
+    # sample them: a drawn pool of cells in runs (a grid's eta1), in cycles
+    # (its eta2), in a drawn order, or the pool itself
+    pool = draw(st.lists(st.one_of(cells, finite), min_size=1, max_size=80))
+    n = draw(st.integers(min_value=1, max_value=200))
+    layout = draw(st.sampled_from(["runs", "cycles", "drawn", "pool"]))
+    if layout == "pool":
+        return pool
+    if layout == "runs":
+        return [pool[i * len(pool) // n] for i in range(n)]
+    if layout == "cycles":
+        return [pool[i % len(pool)] for i in range(n)]
+    return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(long_columns())
+def test_column_text_is_str_of_each_cell(column):
+    assert _column_text(column) == list(map(str, column))
+
+
+def test_column_text_of_distinct_floats_with_a_late_text_cell():
+    column = [0.1 * i for i in range(1, 100)] + [""]
+    assert _column_text(column) == list(map(str, column))
 
 
 # the checks that the CLI's parser keeps from ever failing
