@@ -469,6 +469,10 @@ def _bt_grid(p_base: ModelParams, etas: list[tuple[float, float]],
         if size != size:  # a NaN, which no bound rejects
             raise ValueError(f"perturbation {eta} is not finite")
         eta1, eta2 = eta
+        if not base.h + eta1 > 0:
+            raise ValueError(f"perturbation {eta} exceeds h3 = {base.h}: h3 + eta1 must be > 0")
+        if not base.s + eta2 > 0:
+            raise ValueError(f"perturbation {eta} exceeds s1 = {base.s}: s1 + eta2 must be > 0")
         if eta1 not in eta1_halves or eta2 not in eta2_halves:
             halves = _halves(base, eta1, eta2)
             eta1_halves.setdefault(eta1, halves[0])

@@ -250,12 +250,20 @@ class TestBT:
         ("--q 1 --m 0.25", "m = 2*h3 = 0.25: trace cannot vanish at the fold point"),
         ("--q 1 --m 0.1 --grid 21 --eta-box 0.008",
          "perturbation (-0.008, -0.008) too large; the chain is local (|eta| <= 1e-2)"),
-        # h3 = 1/4004, so the first cell's harvest is negative
-        ("--q 1000 --m 1e-4 --grid 21", "h must be > 0, got -0.0007502497502497503"),
+        # h3 = 1/4004, so the first cell's harvest would be negative
+        ("--q 1000 --m 1e-4 --grid 21",
+         "perturbation (-0.001, -0.001) exceeds h3 = 0.00024975024975024975: "
+         "h3 + eta1 must be > 0"),
+        # s1 = 0.001..., so the first cell's growth rate would be negative
+        ("--q 1e-3 --m 1e-9 --grid 3 --eta-box 0.002",
+         "perturbation (-0.002, -0.002) exceeds s1 = 0.0010000000020018549: "
+         "s1 + eta2 must be > 0"),
         # every cell is admissible, the unfolding Jacobian's step of 1e-6 is not
         ("--q 1e6 --m 1e-7 --grid 3 --eta-box 1e-8", "h must be > 0, got -7.5000024999975e-07"),
-        # both fail: the first cell runs before the Jacobian and is named
-        ("--q 1e6 --m 1e-7 --grid 3 --eta-box 2e-6", "h must be > 0, got -1.75000024999975e-06"),
+        # both fail: the first cell is checked before the Jacobian and is named
+        ("--q 1e6 --m 1e-7 --grid 3 --eta-box 2e-6",
+         "perturbation (-2e-06, -2e-06) exceeds h3 = 2.4999975000025e-07: "
+         "h3 + eta1 must be > 0"),
         # a NaN perturbation is named as one, not as the h or s it would make
         ("--q 1 --m 0.1 --eta2=nan", "perturbation (0.0, nan) is not finite"),
         ("--q 1 --m 0.1 --eta1=nan", "perturbation (nan, 0.0) is not finite"),

@@ -230,6 +230,83 @@ class TestSolverAgainstScipy:
             dynamics._brentq(lambda t: t * t + 1.0, -1.0, 1.0)
 
 
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestStepperPieces:
+    """The stepper's written-out pieces against the forms they replace, and
+    its rarely taken branches, in-process."""
+
+    def test_rhs_is_the_model_field_bit_for_bit(self):
+        rng = np.random.default_rng(2028)
+        for _ in range(50):
+            p = random_params(rng)
+            rhs = dynamics._rhs(p)
+            xs = (*rng.uniform(0.0, 2.0, 4), dynamics.X_FLOOR, dynamics.X_FLOOR * (1 + 1e-12))
+            for x in map(float, xs):
+                for y in (*map(float, rng.uniform(0.0, 2.0, 3)), 0.0, -0.0, p.m, x):
+                    want = _field(p.q, p.s, p.h, p.m, x, y)
+                    assert _bits(rhs(float(rng.uniform(-9, 9)), (x, y))) == _bits(want)
+
+    def test_interpolant_coefficients_are_the_sums_over_p(self):
+        d = dynamics
+        columns = ((1, 0, 0, 0, 0, 0), (d._P21, d._P23, d._P24, d._P25, d._P26, d._P27),
+                   (d._P31, d._P33, d._P34, d._P35, d._P36, d._P37),
+                   (d._P41, d._P43, d._P44, d._P45, d._P46, d._P47))
+        rng = np.random.default_rng(2029)
+        for _ in range(500):
+            k = [float(v) for v in rng.normal(size=6) * 10.0 ** rng.integers(-300, 300, 6)]
+            for i in rng.choice(6, rng.integers(0, 7), replace=False):
+                k[i] = float(rng.choice([0.0, -0.0]))
+            want = [sum(kj * pj for kj, pj in zip(k, col)) for col in columns]
+            assert _bits(d._coefficients(*k)) == _bits(want)
+        assert _bits(d._coefficients(-0.0, -0.0, -0.0, -0.0, -0.0, -0.0)) == _bits([0.0] * 4)
+
+    def test_flat_field_takes_the_floor_initial_step(self):
+        def flat(t, u):
+            return 0.0, 0.0
+
+        assert dynamics._initial_step(flat, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, math.inf, 1.0,
+                                      1e-3, 1e-6) == 1e-6
+        got = dynamics.solve_ivp(flat, (0.0, 1.0), (1.0, 1.0))
+        ref = scipy_solve_ivp(flat, (0.0, 1.0), (1.0, 1.0))
+        assert got.t == list(ref.t) and got.nfev == ref.nfev and got.t[1] == 1e-6
+        assert got.y == ([1.0] * len(got.t), [1.0] * len(got.t))
+
+    def test_brentq_exact_zeros_underflow_and_budget(self):
+        assert dynamics._brentq(lambda t: t - 1.0, 1.0, 2.0) == 1.0
+        assert dynamics._brentq(lambda t: t - 2.0, 1.0, 2.0) == 2.0
+        eps = np.finfo(float).eps
+
+        def tiny(t):  # the extrapolation's divisor underflows to 0: a bisection
+            return 1e-200 * (t ** 3 - 0.2)
+
+        assert dynamics._brentq(tiny, 0.0, 1.0) == brentq(tiny, 0.0, 1.0, xtol=4 * eps,
+                                                          rtol=4 * eps)
+        with pytest.raises(RuntimeError, match="failed to converge after 2 iterations"):
+            dynamics._brentq(lambda t: t ** 3 - 0.2, 0.0, 1.0, maxiter=2)
+
+    @pytest.mark.parametrize("span, y0, message", [
+        ((0.0, 1.0), (math.nan, 0.5), "must be finite"),
+        ((0.0, 1.0), (0.5, math.inf), "must be finite"),
+        ((2.0, 2.0), (0.5, 0.5), "must be positive"),
+    ])
+    def test_bad_start_or_span_raises(self, span, y0, message):
+        with pytest.raises(ValueError, match=message):
+            dynamics.solve_ivp(lambda t, u: u, span, y0)
+
+    def test_stage_that_divides_by_zero_rejects_the_step(self):
+        def field(t, u):  # divides by zero from t = 0.5 on
+            return 1.0, 1.0 / float(t < 0.5)
+
+        sol = dynamics.solve_ivp(field, (0.0, 1.0), (0.0, 0.0))
+        assert sol.status == -1
+        assert 0.5 - 1e-12 < sol.t[-1] < 0.5
+        assert sol.y[0][-1] == pytest.approx(sol.t[-1], rel=1e-12)
+
+
 class TestDetectCycle:
     def test_subcritical_side_has_repelling_cycle(self):
         p = al.ModelParams(q=1, s=0.52, h=0.12, m=0.1)
