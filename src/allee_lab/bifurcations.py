@@ -18,7 +18,9 @@ sequence of coordinate/time changes down to
     u' = v,   v' = l00 + l01 v + u^2 + u v + O(3).
 
 Nondegeneracy of the unfolding is certified by the Jacobian of (l00, l01)
-with respect to the perturbation at 0, estimated by central differences.
+with respect to the perturbation at 0 (Kuznetsov, Elements of Applied
+Bifurcation Theory, section 8.4), whose determinant has a closed form in
+(q, m) on the chain anchored at the cusp identities.
 """
 from __future__ import annotations
 
@@ -258,10 +260,6 @@ def first_lyapunov_coefficient(p: ModelParams, which: str = "E8") -> HopfReport:
 # Bogdanov-Takens chain
 # ---------------------------------------------------------------------------
 
-# cusp bases whose unfolding Jacobian is kept; a grid or a demo uses one
-_JACOBIAN_CACHE_SIZE = 64
-
-
 class BTVerdict(enum.Enum):
     BT_CODIM2 = "BTCodim2"
     DEGENERATE = "Degenerate"
@@ -332,13 +330,16 @@ def _halves(base: ModelParams, eta1: float, eta2: float) -> tuple[tuple[float, .
     never reads h, so the eta1 half (stages a and c, and d00) is the same
     at every eta2, and the eta2 half (stage b and the rest of stage d,
     which also read the h-free a10, a01, a20 and a11) at every eta1.  The
-    cusp identities have one home each: a00 = -eta1 in the eta1 half, and
-    b00 = 0, det J = -d10 and tr J = d01 in the eta2 half.
+    expansion leaves rounding residues where the cusp fixes exact values,
+    so those are imposed, each in its one home: a00 = -eta1 in the eta1
+    half, and b00 = 0 (the factor 1 - y/x), det J = -d10 = 0 at (x7, x7)
+    for every s and tr J = d01 = eta2*(m - x7) in the eta2 half.  The
+    0.0 +- keeps 0.0 and -0.0, which share their halves, at +0.0.
     """
     x7 = 2.0 * base.h
     t = taylor_at(ModelParams(base.q, base.s + eta2, base.h + eta1, base.m), State(x7, x7))
-    a00, a10, a01, a20, a11, a02 = t[:6]
-    b00, b10, b01, b20, b11, b02 = t[10:16]
+    a00, a10, a01, a20, a11, a02 = 0.0 - eta1, *t[1:6]
+    b10, b01, b20, b11, b02 = t[11:16]
 
     # straighten the linear part: u2 = u1, v2 = a10*u1 + a01*v1
     c20, c11 = a20 - a11 * a10 / a01, a11 / a01
@@ -346,7 +347,7 @@ def _halves(base: ModelParams, eta1: float, eta2: float) -> tuple[tuple[float, .
            - a10 ** 2 * a11 / a01 + a10 ** 2 * b02 / a01)
     d11 = b11 + a10 * a11 / a01 - 2.0 * a10 * b02 / a01
     return ((a00, a10, a01, a20, a11, a02, a00, c20, c11, a00 * a10),
-            (b00, b10, b01, b20, b11, b02, a01 * b10 - a10 * b01, a10 + b01, d20, d11, b02 / a01))
+            (0.0, b10, b01, b20, b11, b02, 0.0, 0.0 + eta2 * (base.m - x7), d20, d11, b02 / a01))
 
 
 def _ladder(eta1_half: tuple[float, ...],
@@ -386,61 +387,30 @@ def _ladder(eta1_half: tuple[float, ...],
             h00, h01, h11, -h00 * h11 ** 4, -h01 * h11), mirrored
 
 
-def _det2(a: float, b: float, c: float, d: float) -> float:
-    """det [[a, b], [c, d]] in np.linalg.det's floats: LU with partial
-    pivoting, then sign * exp(log|u00| + log|u11|)."""
-    sign = 1.0
-    if abs(c) > abs(a):
-        a, b, c, d = c, d, a, b
-        sign = -1.0
-    if a == 0.0:
-        return 0.0
-    # times the reciprocal, as LAPACK scales the pivot column: c / a can
-    # round differently
-    u11 = d - c * (1.0 / a) * b
-    if u11 == 0.0:
-        return 0.0
-    if (a < 0.0) != (u11 < 0.0):
-        sign = -sign
-    try:
-        return sign * math.exp(math.log(abs(a)) + math.log(abs(u11)))
-    except OverflowError:  # numpy's exp saturates to inf
-        return sign * math.inf
+def _unfolding_jacobian_det(base: ModelParams) -> float:
+    """|det d(l00, l01)/d(eta)| at eta = 0, in closed form.
 
-
-@functools.lru_cache(maxsize=_JACOBIAN_CACHE_SIZE)
-def _unfolding_jacobian_det(q: float, m: float, jac_step: float) -> float:
-    """|det d(l00, l01)/d(eta)| at eta = 0 by central differences.
-
-    The ladder reads only q, m and the h3, s1 they fix, so the value
-    belongs to the cusp base and is computed once per (q, m, jac_step).
+    On the anchored chain e00 = 0 wherever eta1 = 0, so dl00/deta2 = 0 and
+    the determinant is dl00/deta1 * dl01/deta2 = (-h11**4 * a10/f20) *
+    (-h11 * (m - x7)/k).  With a10 = q*x7, f20 = -q/2 and f11 = -w,
+    w = s1 + 2 + q, its size is 16 x7 |m - x7| w**5 / q**3, taken in
+    factors that do not overflow on the way.
     """
-    p_base = cusp_base_params(q, m)
-
-    def l_column(d1: float, d2: float) -> tuple[float, float]:
-        plus, _ = _ladder(*_halves(p_base, d1, d2))
-        minus, _ = _ladder(*_halves(p_base, -d1, -d2))
-        return tuple((plus[k] - minus[k]) / (2.0 * jac_step) for k in (-2, -1))
-
-    (a, c), (b, d) = l_column(jac_step, 0.0), l_column(0.0, jac_step)
-    return abs(_det2(a, b, c, d))
+    q, x7, w = base.q, 2.0 * base.h, base.s + 2.0 + base.q
+    return 16.0 * (x7 * w) * (abs(base.m - x7) * w) * (w / q) ** 3
 
 
-def bt_normal_form(
-    p_base: ModelParams,
-    eta: tuple[float, float] = (0.0, 0.0),
-    jac_step: float = 1e-6,
-) -> BTReport:
+def bt_normal_form(p_base: ModelParams, eta: tuple[float, float] = (0.0, 0.0)) -> BTReport:
     """Run the Bogdanov-Takens chain for a perturbation (eta1, eta2) of
     (h, s) around the cusp point.
 
     p_base must sit exactly on the cusp (h = h3, s = s1, m != 2*h3); the
     perturbation must stay small (|eta| <= 1e-2).  The report carries every
     intermediate coefficient set, the final unfolding pair (l00, l01), and
-    the determinant of the central-difference Jacobian of (l00, l01) with
-    respect to eta at 0, which is computed once per (q, m, jac_step).
+    the determinant of the Jacobian of (l00, l01) with respect to eta at 0,
+    in its closed form on the cusp base.
     """
-    grid = _bt_grid(p_base, [eta], jac_step)
+    grid = _bt_grid(p_base, [eta])
     cell = {name: getattr(grid, name)[0]
             for name in ("l00", "l01", "f20", "f11", "h11", "mirrored", "jac_det")}
     ladder = {stage: {key: column[0] for key, column in keys.items()}
@@ -448,20 +418,19 @@ def bt_normal_form(
     return BTReport(eta=eta, ladder=ladder, verdict=grid.verdict, **cell)
 
 
-def _bt_grid(p_base: ModelParams, etas: list[tuple[float, float]],
-             jac_step: float = 1e-6) -> BTReport:
+def _bt_grid(p_base: ModelParams, etas: list[tuple[float, float]]) -> BTReport:
     """bt_normal_form at each of `etas`, as one BTReport whose fields but
     the verdict are columns: tuples with one value per eta.
 
-    The cusp base is checked once and the unfolding Jacobian is found once,
-    after the first chain; each eta is checked and run through the chain in
-    order, so a grid fails as its first failing point would alone.  The
+    The cusp base is checked once and its unfolding Jacobian is shared by
+    every cell; each eta is checked and run through the chain in order, so
+    a grid fails as its first failing point would alone.  The
     halves are kept by eta1 and by eta2: a point that brings a new eta1 or
     eta2 costs one expansion, so an N x N grid costs 2N - 1.
     """
     base = _check_cusp_base(p_base)
     eta1_halves, eta2_halves = {}, {}  # 0.0 and -0.0 share a key and their halves
-    chains, mirrored, jac_det = [], [], None
+    chains, mirrored = [], []
     for eta in etas:
         size = math.hypot(*eta)
         if size > 1e-2:
@@ -480,8 +449,7 @@ def _bt_grid(p_base: ModelParams, etas: list[tuple[float, float]],
         values, flipped = _ladder(eta1_halves[eta1], eta2_halves[eta2])
         chains.append(values)
         mirrored.append(flipped)
-        if jac_det is None:
-            jac_det = _unfolding_jacobian_det(p_base.q, p_base.m, jac_step)
+    jac_det = _unfolding_jacobian_det(base)
     eta1s, eta2s = zip(*etas)
     prey = list(zip(*map(eta1_halves.__getitem__, eta1s)))
     predator = list(zip(*map(eta2_halves.__getitem__, eta2s)))

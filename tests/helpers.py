@@ -4,12 +4,20 @@ The finite-difference derivative oracles differentiate the raw vector
 field only; they never touch the closed-form derivative code they are
 checking.  Third derivatives use Richardson-extrapolated central stencils
 with steps scaled by x (the field's high derivatives grow like powers of
-1/x).
+1/x).  The Bogdanov-Takens oracles difference the coefficient chain
+itself, in floats or in mpmath at the exact cusp, to check the closed form
+of its unfolding Jacobian.
 """
 from __future__ import annotations
 
+import contextlib
+from types import SimpleNamespace
+from unittest import mock
+
+import mpmath
 import numpy as np
 
+from allee_lab import bifurcations
 from allee_lab.model import ModelParams, _field
 
 
@@ -78,6 +86,29 @@ def fd_third(f, x: float, y: float, scale_with_x: bool) -> tuple[float, float, f
         _richardson(_d3_xyy, f, x, y, h),
         _d3_yyy(f, x, y, 1e-2),  # cubic in y: stencil is exact, large step kills roundoff
     )
+
+
+def bt_jacobian_det_fd(base: ModelParams, step):
+    """|det d(l00, l01)/d(eta)| at eta = 0 by central differences of the
+    Bogdanov-Takens chain at `base`, in the number type of base and step."""
+    def column(d1, d2):
+        plus, _ = bifurcations._ladder(*bifurcations._halves(base, d1, d2))
+        minus, _ = bifurcations._ladder(*bifurcations._halves(base, -d1, -d2))
+        return [(a - b) / (2 * step) for a, b in zip(plus[-2:], minus[-2:])]
+
+    (a, c), (b, d) = column(step, 0 * step), column(0 * step, step)
+    return abs(a * d - b * c)
+
+
+@contextlib.contextmanager
+def mp_cusp_chain(q: float, m: float, digits: int = 50):
+    """Run the chain in mpmath at `digits` digits, its one square root
+    mpmath's; yields the exact cusp base of (q, m), h3 and s1 unrounded."""
+    with mpmath.workdps(digits), mock.patch.object(bifurcations, "math",
+                                                   SimpleNamespace(sqrt=mpmath.sqrt)):
+        q, m = mpmath.mpf(q), mpmath.mpf(m)
+        h3 = 1 / (4 * (q + 1))
+        yield ModelParams(q, (4 * h3 - 1) / (2 * (m - 2 * h3)), h3, m)
 
 
 def rel_err(analytic: float, approx: float) -> float:

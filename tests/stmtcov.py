@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-GATED = ("model.py", "equilibria.py", "normal_forms.py", "bifurcations.py")
+GATED = ("model.py", "equilibria.py", "normal_forms.py", "bifurcations.py", "reporting.py")
 
 
 def _code_lines(code) -> set[int]:

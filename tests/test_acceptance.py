@@ -23,6 +23,7 @@ from scipy.linalg import expm
 import allee_lab as al
 from allee_lab.equilibria import DISCRIMINANT_RTOL
 from helpers import (
+    bt_jacobian_det_fd,
     component,
     fd_gradient,
     fd_second,
@@ -336,18 +337,20 @@ def test_criterion_7_bt_chain(acceptance):
     p = al.cusp_base_params(1.0, 0.1)  # h3 = 1/8, s1 = 5/3
     assert p.h == pytest.approx(0.125, abs=1e-15)
     assert p.s == pytest.approx(5.0 / 3.0, abs=1e-15)
-    r6 = al.bt_normal_form(p, (0.0, 0.0), jac_step=1e-6)
-    r5 = al.bt_normal_form(p, (0.0, 0.0), jac_step=1e-5)
+    rep = al.bt_normal_form(p, (0.0, 0.0))
     # -(s1+2+q) = -14/3 is the limit of the mixed quadratic coefficient
     # before the unit-quadratic normalisation
-    assert r6.f11 == pytest.approx(-(p.s + 2.0 + p.q), abs=1e-10)
-    assert r6.f11 == pytest.approx(-14.0 / 3.0, abs=1e-10)
-    assert abs(r6.l00) <= 1e-12 and abs(r6.l01) <= 1e-12
-    assert r6.jac_det > 1e-6
-    assert r5.jac_det == pytest.approx(r6.jac_det, rel=5e-4)  # 3 significant digits
+    assert rep.f11 == pytest.approx(-(p.s + 2.0 + p.q), abs=1e-10)
+    assert rep.f11 == pytest.approx(-14.0 / 3.0, abs=1e-10)
+    assert abs(rep.l00) <= 1e-12 and abs(rep.l01) <= 1e-12
+    assert rep.jac_det > 1e-6
+    # the closed-form determinant against central differences of the chain
+    # at two steps, to 3 significant digits
+    for step in (1e-5, 1e-6):
+        assert bt_jacobian_det_fd(p, step) == pytest.approx(rep.jac_det, rel=5e-4)
     acceptance(7, "BT chain", True,
                f"f11 -> -14/3; l00 = l01 = 0 at eta = 0; "
-               f"|d(l00,l01)/d(eta)| = {r6.jac_det:.1f}, step-stable")
+               f"|d(l00,l01)/d(eta)| = {rep.jac_det:.1f}, central differences agree")
 
 
 @pytest.mark.xfail(strict=True, reason="after the unit-quadratic normalisation "

@@ -48,7 +48,7 @@ def test_importing_the_cli_loads_every_traced_module():
 def test_worker_hook_exists():
     from allee_lab import reporting
 
-    assert callable(reporting.sweep_parallelism)
+    assert reporting.sweep_parallelism() == 1
 
 
 def test_sweep_calls_the_traced_reporting_layers(monkeypatch, tmp_path):

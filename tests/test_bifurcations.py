@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from allee_lab.errors import (
 )
 from allee_lab.model import TaylorCoefficients, _field
 from allee_lab.normal_forms import taylor_at
+from helpers import bt_jacobian_det_fd, mp_cusp_chain
 
 
 class TestSotomayor:
@@ -298,21 +300,6 @@ class TestFirstLyapunovCoefficient:
             al.first_lyapunov_coefficient(al.ModelParams(q=1, s=0.6, h=0.12, m=0.1), "E8")
 
 
-# finite entries without subnormals: the unfolding Jacobian's are central
-# differences of the ladder, and LAPACK's LU treats subnormal pivots its own way
-_ENTRIES = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)
-
-
-@settings(derandomize=True, max_examples=1000, deadline=None)
-@given(_ENTRIES, _ENTRIES, _ENTRIES, _ENTRIES)
-def test_plain_float_determinant_equals_numpy(a, b, c, d):
-    with np.errstate(all="ignore"):  # products may overflow to inf on both routes
-        expected = float(np.linalg.det(np.array([[a, b], [c, d]])))
-    got = bifurcations._det2(a, b, c, d)
-    assert math.copysign(1.0, got) == math.copysign(1.0, expected)
-    assert got == expected or (math.isnan(got) and math.isnan(expected))
-
-
 class TestBTNormalForm:
     def test_unperturbed_cusp_maps_to_origin(self):
         p = al.cusp_base_params(1.0, 0.1)
@@ -335,38 +322,18 @@ class TestBTNormalForm:
         rep = al.bt_normal_form(p, (1e-3, 0.0))
         assert rep.ladder["a"]["00"] == pytest.approx(-1e-3, rel=1e-14)
 
-    def test_eta_jacobian_nonzero_and_step_stable(self):
-        p = al.cusp_base_params(1.0, 0.1)
-        r5 = al.bt_normal_form(p, (0.0, 0.0), jac_step=1e-5)
-        r6 = al.bt_normal_form(p, (0.0, 0.0), jac_step=1e-6)
-        assert r6.jac_det > 1e-6
-        assert r5.jac_det == pytest.approx(r6.jac_det, rel=5e-4)  # 3 significant digits
-        assert r6.jac_det == pytest.approx(1327.96, rel=1e-3)     # frozen regression value
-
-    def test_shared_eta_jacobian_equals_a_fresh_one(self):
-        # the unfolding Jacobian is kept per (q, m, jac_step); each report
-        # must carry exactly the value a fresh central difference gives
-        def fresh_jac_det(p, step):
-            def l_pair(e1, e2):
-                values, _ = bifurcations._ladder(*bifurcations._halves(p, e1, e2))
-                return np.array(values[-2:])  # l00, l01
-
-            jac = np.zeros((2, 2))
-            for j, (d1, d2) in enumerate(((step, 0.0), (0.0, step))):
-                jac[:, j] = (l_pair(d1, d2) - l_pair(-d1, -d2)) / (2.0 * step)
-            return abs(float(np.linalg.det(jac)))
-
-        bifurcations._unfolding_jacobian_det.cache_clear()
-        bases = [(1.0, 0.1), (0.5, 0.05), (2.0, 0.02)]
-        etas = [(0.0, 0.0), (3e-4, -5e-4), (-1e-3, 1e-3)]
-        for eta in etas:  # later etas reuse the first one's entries
-            for q, m in bases:
-                p = al.cusp_base_params(q, m)
-                for step in (1e-5, 1e-6):
-                    rep = al.bt_normal_form(p, eta, jac_step=step)
-                    assert rep.jac_det == fresh_jac_det(p, step)
-        info = bifurcations._unfolding_jacobian_det.cache_info()
-        assert (info.misses, info.hits) == (6, 12)
+    @pytest.mark.parametrize("q, m", [
+        (1e-9, 0.1), (1.8e-4, 0.27), (2.2e-3, 0.42), (3e-3, 0.3), (1.0, 0.1),
+        (1.0, 0.225), (0.5, 0.05), (2.0, 0.02), (2e4, 1e-5), (3e5, 1e-6), (1e6, 1e-7)])
+    def test_closed_form_jacobian_equals_the_exact_chain(self, q, m):
+        # the closed form against central differences of the chain run in
+        # 50-digit mpmath at the exact cusp; (1, 0.225) is the base whose
+        # chain takes the mirrored branch a few 1e-4 away
+        with mp_cusp_chain(q, m) as base:
+            want = float(bt_jacobian_det_fd(base, mpmath.mpf("1e-25")))
+        rep = al.bt_normal_form(al.cusp_base_params(q, m))
+        assert rep.jac_det == pytest.approx(want, rel=1e-14)
+        assert rep.verdict is al.BTVerdict.BT_CODIM2
 
     def test_cusp_conditions_enforced(self):
         with pytest.raises(CuspConditionsViolated):
@@ -384,6 +351,9 @@ class TestBTNormalForm:
             al.bt_normal_form(al.cusp_base_params(1.0, 0.1), eta)
 
 
+EPS = 2.0 ** -52
+
+
 def _hex(values):
     # bitwise equality, zeros by their sign
     return [float.hex(v) for v in values]
@@ -394,6 +364,48 @@ _CUSP_BASES = st.tuples(st.floats(-4.0, 6.0), st.floats(0.01, 0.99)).map(
     lambda u: al.cusp_base_params(10.0 ** u[0], u[1] * 0.5 / (10.0 ** u[0] + 1.0)))
 # a perturbation as a fraction of the base value, so h and s stay positive
 _FRACTIONS = st.floats(-0.9, 0.9)
+
+
+class TestBTCuspIdentities:
+    """The closed-form unfolding Jacobian rests on the exact values the
+    chain takes at the cusp: the anchors _halves imposes, and f20 = -q/2,
+    f11 = -(s1 + 2 + q) at eta = 0."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_CUSP_BASES)
+    def test_chain_limits_at_the_cusp(self, base):
+        q, s1, h3, m = base
+        x7 = 2.0 * h3
+        chain, mirrored = bifurcations._ladder(*bifurcations._halves(base, 0.0, 0.0))
+        f20, f11, l00, l01 = chain[9], chain[10], chain[-2], chain[-1]
+        # condition number of s1 = (4 h3 - 1) / (2 (m - 2 h3)), whose two
+        # cancellations the chain's quadratic coefficients repeat
+        kappa = (4.0 * h3 + 1.0) / abs(4.0 * h3 - 1.0) + (m + x7) / abs(m - x7)
+        assert f20 == pytest.approx(-q / 2.0, rel=16.0 * EPS * kappa)
+        assert f11 == pytest.approx(-(s1 + 2.0 + q), rel=16.0 * EPS * kappa)
+        assert mirrored is False
+        assert l00 == 0.0 and l01 == 0.0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_CUSP_BASES)
+    def test_expansion_meets_the_anchors_within_rounding(self, base):
+        # each residue is bounded by 4 eps times the sum of the magnitudes
+        # of the terms it is computed from; b01's terms carry s1's own
+        # rounding, which its condition number kappa scales
+        q, s1, h3, m = base
+        x7 = 2.0 * h3
+        t = taylor_at(base, al.State(x7, x7))
+        kappa = (4.0 * h3 + 1.0) / abs(4.0 * h3 - 1.0) + (m + x7) / abs(m - x7)
+        a10_terms = 1.0 + 2.0 * x7 + q * x7
+        b01_terms = s1 * (5.0 * x7 + 3.0 * m) + abs(t.b01) * kappa
+        assert abs(t.a00) <= 4.0 * EPS * (x7 + x7 * x7 + q * x7 * x7 + h3)
+        assert t.b00 == 0.0  # the factor 1 - y/x is exactly 0 at y = x
+        det = t.a01 * t.b10 - t.a10 * t.b01
+        assert abs(det) <= 4.0 * EPS * (abs(t.a01 * t.b10) + abs(t.b01) * a10_terms
+                                        + abs(t.a10) * b01_terms)
+        assert abs(t.a10 + t.b01) <= 4.0 * EPS * (a10_terms + b01_terms)
+        prey, predator = bifurcations._halves(base, 0.0, 0.0)
+        assert _hex((prey[0], predator[0], predator[6], predator[7])) == _hex((0.0,) * 4)
 
 
 class TestBTHalves:

@@ -258,9 +258,7 @@ class TestBT:
         ("--q 1e-3 --m 1e-9 --grid 3 --eta-box 0.002",
          "perturbation (-0.002, -0.002) exceeds s1 = 0.0010000000020018549: "
          "s1 + eta2 must be > 0"),
-        # every cell is admissible, the unfolding Jacobian's step of 1e-6 is not
-        ("--q 1e6 --m 1e-7 --grid 3 --eta-box 1e-8", "h must be > 0, got -7.5000024999975e-07"),
-        # both fail: the first cell is checked before the Jacobian and is named
+        # h3 = 2.5e-7, so the first cell's harvest would be negative
         ("--q 1e6 --m 1e-7 --grid 3 --eta-box 2e-6",
          "perturbation (-2e-06, -2e-06) exceeds h3 = 2.4999975000025e-07: "
          "h3 + eta1 must be > 0"),
@@ -280,10 +278,9 @@ class TestBT:
         assert "not positive" in res.stderr
 
     @pytest.mark.parametrize("n", [1, 4])
-    def test_grid_runs_one_expansion_per_new_eta_plus_the_jacobian(self, monkeypatch, tmp_path, n):
+    def test_grid_runs_one_expansion_per_new_eta(self, monkeypatch, tmp_path, n):
         # one expansion per cell that brings a new eta1 or a new eta2, so
-        # 2n - 1 on an n x n grid, plus the four of the unfolding Jacobian
-        # once for the cusp base, from a cold start
+        # 2n - 1 on an n x n grid; the unfolding Jacobian is a closed form
         import allee_lab.bifurcations as bif
 
         calls = []
@@ -292,11 +289,32 @@ class TestBT:
             calls.append(args)
             return taylor_at(*args)
 
-        bif._unfolding_jacobian_det.cache_clear()
         monkeypatch.setattr(bif, "taylor_at", counting_taylor_at)
         argv = ["bt", "--q", "1", "--m", "0.1", "--grid", str(n), "--out", str(tmp_path / "g.json")]
         assert main(argv) == 0
-        assert len(calls) == 2 * n - 1 + 4
+        assert len(calls) == 2 * n - 1
+
+    @pytest.mark.parametrize("argv, jac_det", [
+        # h3 = 1/(4(q + 1)) and s1 lie far below 1e-6 here, the step the
+        # unfolding Jacobian was once differenced with
+        ("--q 1e6 --m 1e-7", 184.52865808174352),
+        ("--q 3e5 --m 1e-6", 840.3632056146192),
+        ("--q 1e-9 --m 0.1", 1.024000003456e29),
+    ])
+    def test_bt_at_extreme_cusp_bases(self, capsys, argv, jac_det):
+        assert main(["bt", *argv.split()]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["l00"] == 0.0 and report["l01"] == 0.0
+        assert report["jac_det"] == pytest.approx(jac_det, rel=1e-12)
+        assert report["verdict"] == "BTCodim2"
+
+    def test_grid_inside_a_tiny_harvest(self, capsys):
+        # every cell keeps h3 + eta1 > 0 at h3 = 2.5e-7
+        assert main(["bt", *"--q 1e6 --m 1e-7 --grid 3 --eta-box 1e-8".split()]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 9
+        assert [row["jac_det"] for row in rows] == pytest.approx([184.52865808174352] * 9,
+                                                                 rel=1e-12)
 
 
 class TestSimulate:

@@ -1,8 +1,11 @@
 """Byte-for-byte regression of the JSON subcommands against a frozen corpus.
 
-Each case's JSON in tests/golden/cli/ was written by `allee-lab` before the
-unfolding Jacobian was shared across a cusp base and before the argument
-parser was built once per process.  The `analyze` cases sit at a generic
+Each `analyze` and `hopf` case's JSON in tests/golden/cli/ was written by
+`allee-lab` before the argument parser was built once per process.  The
+`bt` cases and the grid digests were rewritten when the chain was anchored
+at the exact cusp identities and its unfolding Jacobian took a closed form:
+every value they changed moved closer to the chain run in 50-digit mpmath
+at the exact cusp.  The `analyze` cases sit at a generic
 point, on the folds h1, h2 and h3 (no cusp), at the cusp s1 and at the E8
 weak centre s2; `hopf` solves the E8 Hopf point; `bt` runs at eta = 0, at a
 perturbed eta and on grids.  Two 21 x 21 grids (about 0.9 MB each) are
