@@ -49,10 +49,10 @@ CASES = {
 }
 
 # SHA-256 of the output of `bt --q 1 --m 0.1 --grid 21`
-BT_GRID21_SHA256 = "424ecd5979cefd9f327d993007af9640dd0042d8fde12a506d1c52336b1b6b2f"
+BT_GRID21_SHA256 = "8143d1ac3060536b4ecc8473f4e0a79a0b8c0a2b60d165de0b462d30ef69f4c9"
 # and of `bt --q 1 --m 0.225 --grid 21 --eta-box 1e-3`, whose top three rows
 # take the chain's mirrored branch
-BT_GRID21_MIRRORED_SHA256 = "d5f7d93d78481a81446e95207b4047d0f4eefaf36d55c8b8dd47fa1a47d7678b"
+BT_GRID21_MIRRORED_SHA256 = "b6a987ea55fee08af3b33e583d582057928b625087b7f91b0044e8747c133795"
 
 
 def _run(argv: str, out: Path) -> int:
