@@ -366,6 +366,12 @@ _CUSP_BASES = st.tuples(st.floats(-4.0, 6.0), st.floats(0.01, 0.99)).map(
 _FRACTIONS = st.floats(-0.9, 0.9)
 
 
+def _s1_condition(base):
+    # condition number of s1 = (4 h3 - 1) / (2 (m - 2 h3)) in h3 and m
+    x7 = 2.0 * base.h
+    return (4.0 * base.h + 1.0) / abs(4.0 * base.h - 1.0) + (base.m + x7) / abs(base.m - x7)
+
+
 class TestBTCuspIdentities:
     """The closed-form unfolding Jacobian rests on the exact values the
     chain takes at the cusp: the anchors _halves imposes, and f20 = -q/2,
@@ -375,12 +381,10 @@ class TestBTCuspIdentities:
     @given(_CUSP_BASES)
     def test_chain_limits_at_the_cusp(self, base):
         q, s1, h3, m = base
-        x7 = 2.0 * h3
         chain, mirrored = bifurcations._ladder(*bifurcations._halves(base, 0.0, 0.0))
         f20, f11, l00, l01 = chain[9], chain[10], chain[-2], chain[-1]
-        # condition number of s1 = (4 h3 - 1) / (2 (m - 2 h3)), whose two
-        # cancellations the chain's quadratic coefficients repeat
-        kappa = (4.0 * h3 + 1.0) / abs(4.0 * h3 - 1.0) + (m + x7) / abs(m - x7)
+        # the chain's quadratic coefficients repeat s1's two cancellations
+        kappa = _s1_condition(base)
         assert f20 == pytest.approx(-q / 2.0, rel=16.0 * EPS * kappa)
         assert f11 == pytest.approx(-(s1 + 2.0 + q), rel=16.0 * EPS * kappa)
         assert mirrored is False
@@ -395,7 +399,7 @@ class TestBTCuspIdentities:
         q, s1, h3, m = base
         x7 = 2.0 * h3
         t = taylor_at(base, al.State(x7, x7))
-        kappa = (4.0 * h3 + 1.0) / abs(4.0 * h3 - 1.0) + (m + x7) / abs(m - x7)
+        kappa = _s1_condition(base)
         a10_terms = 1.0 + 2.0 * x7 + q * x7
         b01_terms = s1 * (5.0 * x7 + 3.0 * m) + abs(t.b01) * kappa
         assert abs(t.a00) <= 4.0 * EPS * (x7 + x7 * x7 + q * x7 * x7 + h3)

@@ -295,8 +295,7 @@ class TestBT:
         assert len(calls) == 2 * n - 1
 
     @pytest.mark.parametrize("argv, jac_det", [
-        # h3 = 1/(4(q + 1)) and s1 lie far below 1e-6 here, the step the
-        # unfolding Jacobian was once differenced with
+        # h3 = 1/(4(q + 1)) below 1e-6 at the first two, s1 = 1.25e-9 at the third
         ("--q 1e6 --m 1e-7", 184.52865808174352),
         ("--q 3e5 --m 1e-6", 840.3632056146192),
         ("--q 1e-9 --m 0.1", 1.024000003456e29),
