@@ -28,18 +28,18 @@ from .normal_forms import (
     SaddleNodeVerdict,
     CuspCheck,
     CuspVerdict,
+    SotomayorReport,
+    SotomayorVerdict,
     taylor_at,
     saddle_node_check,
     cusp_check,
+    sotomayor_saddle_node,
 )
 from .bifurcations import (
-    SotomayorReport,
-    SotomayorVerdict,
     HopfReport,
     HopfDirection,
     BTReport,
     BTVerdict,
-    sotomayor_saddle_node,
     hopf_critical_s,
     first_lyapunov_coefficient,
     lyapunov_number,

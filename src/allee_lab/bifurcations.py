@@ -1,5 +1,5 @@
-"""Bifurcation machinery: saddle-node transversality, Hopf direction, and
-the Bogdanov-Takens normal-form coefficient chain.
+"""Bifurcation machinery: the Hopf direction and the Bogdanov-Takens
+normal-form coefficient chain.
 
 The Hopf direction comes from the first Lyapunov number of a planar weak
 center written as
@@ -31,98 +31,24 @@ import operator
 from typing import NamedTuple
 
 from .equilibria import (
-    BT_JAC_DET_TOL, CUSP_BASE_TOL, F20_RTOL, HOPF_TRACE_RTOL, PHI_RTOL, TRANSVERSALITY_TOL,
-    WEAK_CENTER_RTOL, Equilibrium, _diagonal_roots, _h3, _s1, _s_trace_zero, linearize,
+    BT_JAC_DET_TOL, CUSP_BASE_TOL, F20_RTOL, HOPF_TRACE_RTOL, PHI_RTOL, WEAK_CENTER_RTOL,
+    _diagonal_roots, _h3, _s1, _s_trace_zero,
 )
-from .errors import (
-    CuspConditionsViolated,
-    HopfInadmissible,
-    NoZeroEigenvalue,
-    NotAWeakCenter,
-    NotSemiDegenerate,
-    SignAssumptionViolated,
-)
+from .errors import CuspConditionsViolated, HopfInadmissible, NotAWeakCenter, SignAssumptionViolated
 from .model import (ModelParams, State, TaylorCoefficients, _check_allee_threshold,
-                    _check_positive_finite, derivatives)
-from .normal_forms import _bilinear, taylor_at
+                    _check_positive_finite)
+from .normal_forms import taylor_at
 
 __all__ = [
-    "SotomayorVerdict",
-    "SotomayorReport",
     "HopfDirection",
     "HopfReport",
     "BTVerdict",
     "BTReport",
-    "sotomayor_saddle_node",
     "hopf_critical_s",
     "first_lyapunov_coefficient",
     "lyapunov_number",
-    "phi_terms",
     "bt_normal_form",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Sotomayor saddle-node test
-# ---------------------------------------------------------------------------
-
-class SotomayorVerdict(enum.Enum):
-    SADDLE_NODE_BIFURCATION = "SaddleNodeBifurcation"
-    DEGENERATE = "Degenerate"
-
-
-class SotomayorReport(NamedTuple):
-    v: tuple[float, float]
-    w: tuple[float, float]
-    transversality1: float
-    transversality2: float
-    verdict: SotomayorVerdict
-
-
-def _param_derivative(p: ModelParams, u: State, name: str) -> tuple[float, float]:
-    """Analytic derivative of the vector field with respect to one parameter."""
-    x, y = u.x, u.y
-    if name == "h":
-        return (-1.0, 0.0)
-    if name == "q":
-        return (-x * y, 0.0)
-    if name == "s":
-        return (0.0, y * (1.0 - y / x) * (y - p.m))
-    if name == "m":
-        return (0.0, -p.s * y * (1.0 - y / x))
-    raise ValueError(f"unknown bifurcation parameter {name!r}; expected one of q, s, h, m")
-
-
-def sotomayor_saddle_node(p: ModelParams, e: Equilibrium | State, bif_param: str) -> SotomayorReport:
-    """Transversality test for a saddle-node bifurcation in one parameter.
-
-    Returns the right/left null eigenvectors (v, w) of the Jacobian and the
-    two transversality numbers w.f_mu and w.D^2f(v, v).  v is scaled to
-    first component 1 and w so that w.v = -2*trace, which makes the values
-    reproducible across runs and machines.
-    """
-    t = derivatives(p, State(e.x, e.y))
-    lin = linearize(t)
-    if not lin.det_zero:
-        raise NoZeroEigenvalue(f"det(J) = {lin.det:.3e} is not ~ 0")
-    if lin.tr_zero:
-        raise NotSemiDegenerate("zero eigenvalue is not simple (trace ~ 0)")
-
-    v = (1.0, -t.a10 / t.a01)
-    # (J22, -J12) spans the left kernel and dots with v to exactly the trace,
-    # so this is the left null vector scaled to w.v = -2*trace
-    w = (-2.0 * t.b01, 2.0 * t.a01)
-
-    fmu = _param_derivative(p, State(e.x, e.y), bif_param)
-    quad1, quad2 = _bilinear(t, v, v)
-    t1 = w[0] * fmu[0] + w[1] * fmu[1]
-    t2 = w[0] * quad1 + w[1] * quad2
-    verdict = (
-        SotomayorVerdict.SADDLE_NODE_BIFURCATION
-        if abs(t1) > TRANSVERSALITY_TOL and abs(t2) > TRANSVERSALITY_TOL
-        else SotomayorVerdict.DEGENERATE
-    )
-    return SotomayorReport(v=v, w=w, transversality1=t1, transversality2=t2, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +136,6 @@ def lyapunov_number(a: float, b: float, c: float, d: float, t: TaylorCoefficient
     return _sigma(b, delta, _lyapunov_terms(a, b, c, t))
 
 
-def phi_terms(t: TaylorCoefficients) -> tuple[float, ...]:
-    """The eight grouped terms of the Lyapunov-number sum for this model.
-
-    They are lyapunov_number's terms with a = a10, b = a01, c = b10.  The
-    prey component is quadratic (a02 = 0, no cubic a-terms), so phi_3 = 0.
-    """
-    return _lyapunov_terms(t.a10, t.a01, t.b10, t)
-
-
 def first_lyapunov_coefficient(p: ModelParams, which: str = "E8") -> HopfReport:
     """Hopf direction at a diagonal weak center.
 
@@ -237,7 +154,7 @@ def first_lyapunov_coefficient(p: ModelParams, which: str = "E8") -> HopfReport:
     if not M > 0:
         raise NotAWeakCenter(f"det {M:.3e} not positive: equilibrium is not a center candidate")
 
-    phi = phi_terms(t)
+    phi = _lyapunov_terms(a, b, c, t)
     sigma = _sigma(b, M, phi)
     phi_scale = sum(abs(v) for v in phi)
     if phi_scale == 0.0 or abs(sum(phi)) <= PHI_RTOL * phi_scale:
@@ -289,7 +206,7 @@ def cusp_base_params(q: float, m: float) -> ModelParams:
     _check_positive_finite((("q", q), ("m", m)))
     _check_allee_threshold(m)
     h3 = _h3(q)
-    if abs(m - 2.0 * h3) <= CUSP_BASE_TOL:
+    if abs(m - 2.0 * h3) <= CUSP_BASE_TOL * 2.0 * h3:
         raise CuspConditionsViolated(f"m = 2*h3 = {2 * h3}: trace cannot vanish at the fold point")
     s1 = _s1(h3, m)
     if not s1 > 0:
@@ -302,10 +219,10 @@ def cusp_base_params(q: float, m: float) -> ModelParams:
 def _check_cusp_base(p: ModelParams) -> ModelParams:
     """The cusp base of p's (q, m); raises unless p's h and s sit on it."""
     h3 = _h3(p.q)
-    if abs(p.h - h3) > CUSP_BASE_TOL:
+    if abs(p.h - h3) > CUSP_BASE_TOL * h3:
         raise CuspConditionsViolated(f"h = {p.h} is not the diagonal fold value h3 = {h3}")
     base = cusp_base_params(p.q, p.m)  # re-raises on m/s1 problems
-    if abs(p.s - base.s) > CUSP_BASE_TOL * max(1.0, abs(base.s)):
+    if abs(p.s - base.s) > CUSP_BASE_TOL * abs(base.s):
         raise CuspConditionsViolated(f"s = {p.s} is not the cusp value s1 = {base.s}")
     return base
 

@@ -13,10 +13,13 @@ cancellation-free formula (large root first, small root from the product)
 and recognises double roots through a relative tolerance band on the
 discriminant.
 
-`linearize` decides the degeneracy bands of a Jacobian once; `classify`,
-the normal-form checks and Sotomayor's test all read its record, and
-`full_portrait` evaluates `derivatives` once per equilibrium.  Every
-tolerance of the closed forms is named in the table below.
+`linearize` decides the degeneracy bands of a Jacobian once, and
+`_null_projection` and `_cusp_coefficients` compute the quadratic
+coefficients at a simple and at a double zero eigenvalue once; `classify`
+reads them directly, and the normal-form checks and Sotomayor's test in
+`normal_forms` wrap the same kernels.  `full_portrait` evaluates
+`derivatives` once per equilibrium.  Every tolerance of the closed forms
+is named in the table below.
 
 `portrait_batch` computes the same quantities for many parameter points at
 once as numpy arrays, and leaves the points it cannot decide exactly as the
@@ -88,7 +91,7 @@ PHI_RTOL = 1e-12
 F20_RTOL = 1e-12
 # |det| of the BT unfolding Jacobian above which the point is codimension 2
 BT_JAC_DET_TOL = 1e-6
-# |m - 2*h3|, |h - h3| and |s - s1| / max(1, |s1|) that count as on the cusp base
+# |m - 2*h3| / (2*h3), |h - h3| / h3 and |s - s1| / |s1| that count as on the cusp base
 CUSP_BASE_TOL = 1e-9
 # |value - surface| / max(1, |surface|) that flags a critical surface as hit
 SURFACE_RTOL = 1e-9
@@ -380,7 +383,7 @@ def solve_branch_diagonal(p: ModelParams) -> list[Equilibrium]:
 
 def classify(p: ModelParams, e: Equilibrium) -> StabilityClass:
     """Classify an equilibrium from its linearisation, with degeneracies
-    delegated to the quadratic normal-form checks.
+    decided by the quadratic coefficient of the saddle-node or cusp kernel.
 
     The trace/determinant case analysis is cross-checked against eigenvalues
     computed independently from the Jacobian matrix; a disagreement raises
@@ -389,10 +392,53 @@ def classify(p: ModelParams, e: Equilibrium) -> StabilityClass:
     return _classify(p, e.state, e.label, derivatives(p, e.state))[1]
 
 
+def _bilinear(t: TaylorCoefficients, u: tuple[float, float],
+              v: tuple[float, float]) -> tuple[float, float]:
+    # D^2 f (u, v): second-derivative bilinear form applied to two directions
+    # from the Taylor coefficients: f_xx = 2*a20, f_xy = a11, f_yy = 2*a02
+    s1 = (2.0 * t.a20 * u[0] * v[0] + t.a11 * (u[0] * v[1] + u[1] * v[0])
+          + 2.0 * t.a02 * u[1] * v[1])
+    s2 = (2.0 * t.b20 * u[0] * v[0] + t.b11 * (u[0] * v[1] + u[1] * v[0])
+          + 2.0 * t.b02 * u[1] * v[1])
+    return s1, s2
+
+
+def _null_projection(t: TaylorCoefficients) -> tuple[tuple[float, float],
+                                                     tuple[float, float], float]:
+    """(v, w, w.D^2f(v, v)) at a zero eigenvalue: the saddle-node kernel.
+
+    v is the right null vector with first component 1 (df1/dy = -q*x never
+    vanishes), and w = (-2*J22, 2*J12) the left null vector, which dots with
+    v to exactly -2*trace.  The quadratic coefficient along the centre
+    direction is c20 = -w.D^2f(v, v)/(4*trace).
+    """
+    v = (1.0, -t.a10 / t.a01)
+    w = (-2.0 * t.b01, 2.0 * t.a01)
+    quad1, quad2 = _bilinear(t, v, v)
+    return v, w, w[0] * quad1 + w[1] * quad2
+
+
+def _cusp_coefficients(t: TaylorCoefficients) -> tuple[float, float]:
+    """(g20, g11) at a double zero eigenvalue: the cusp kernel.
+
+    In the basis (q0, q1) with J q0 = 0, J q1 = q0 the system reads
+    x' = y + e20 x^2 + ..., y' = f20 x^2 + f11 x y + ..., and reduces near
+    the origin to y' = g20 x^2 + g11 x y with g20 = f20, g11 = f11 + 2 e20.
+    """
+    j12 = t.a01  # nonzero, so J != 0 and the kernel basis below is valid
+    q0 = (1.0, -t.a10 / j12)
+    q1 = (0.0, 1.0 / j12)
+    # inverse of T = [q0 | q1]: rows (1, 0) and (-j12*q0[1], j12)
+    h00_1, h00_2 = _bilinear(t, q0, q0)
+    h01_1, h01_2 = _bilinear(t, q0, q1)
+    e20 = 0.5 * h00_1
+    f20 = 0.5 * (-j12 * q0[1] * h00_1 + j12 * h00_2)
+    f11 = -j12 * q0[1] * h01_1 + j12 * h01_2
+    return f20, f11 + 2.0 * e20
+
+
 def _classify(p: ModelParams, u: State, label: str,
               t: TaylorCoefficients) -> tuple[Linearization, StabilityClass]:
-    from . import normal_forms  # local import: normal_forms depends on this module
-
     res = math.hypot(t.a00, t.b00)
     if res > RESIDUAL_TOL:
         raise InconsistentInput(
@@ -400,13 +446,12 @@ def _classify(p: ModelParams, u: State, label: str,
         )
     lin = _linearize_at(t, label, u)
     if lin.det_zero and lin.tr_zero:
-        verdict = normal_forms._cusp_check(t, lin).verdict
-        codim2 = verdict is normal_forms.CuspVerdict.CODIM2_CUSP
+        g20, g11 = _cusp_coefficients(t)
+        codim2 = abs(g20) > COEFF_TOL and abs(g11) > COEFF_TOL
         result = StabilityClass.CUSP if codim2 else StabilityClass.DEGENERATE
     elif lin.det_zero:
-        verdict = normal_forms._saddle_node_check(t, lin).verdict
-        fold = verdict is normal_forms.SaddleNodeVerdict.SADDLE_NODE
-        result = StabilityClass.SADDLE_NODE if fold else StabilityClass.DEGENERATE
+        c20 = -_null_projection(t)[2] / (4.0 * lin.tr)
+        result = StabilityClass.SADDLE_NODE if abs(c20) > COEFF_TOL else StabilityClass.DEGENERATE
     elif lin.det < 0:
         result = StabilityClass.SADDLE
     elif lin.tr_zero:

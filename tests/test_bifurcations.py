@@ -11,7 +11,6 @@ from scipy.integrate import solve_ivp
 
 import allee_lab as al
 from allee_lab import bifurcations
-from allee_lab.bifurcations import phi_terms
 from allee_lab.errors import (
     CuspConditionsViolated,
     HopfInadmissible,
@@ -65,7 +64,7 @@ class TestSotomayor:
     ])
     def test_transversality_values_pinned(self, params, point, bif_param, t1, t2):
         # the Allee-line fold, the diagonal fold h3 and a q-fold on the
-        # diagonal; D^2f(v, v) comes from normal_forms._bilinear, whose
+        # diagonal; D^2f(v, v) comes from equilibria._bilinear, whose
         # grouping of the mixed term is exact here because v[0] = 1
         rep = al.sotomayor_saddle_node(al.ModelParams(*params), al.State(*point), bif_param)
         assert (repr(rep.transversality1), repr(rep.transversality2)) == (t1, t2)
@@ -189,18 +188,18 @@ class TestFirstLyapunovCoefficient:
     def test_alternative_grouping_differs_and_is_not_used(self):
         # the variant grouping fails the identity with the generic formula;
         # kept only for comparison with the generic grouping
-        def alternative_phi_terms(t):
+        def alternative_phi_terms(t, ours):
             # b11*a20 in phi6, b01 in place of b10 in phi7
             a, b, d = t.a10, t.a01, t.b01
-            phi = list(phi_terms(t))
+            phi = list(ours)
             phi[5] = -b * b * (2.0 * t.a20 * t.b20 + t.b11 * t.a20)
             phi[6] = (b * d - 2.0 * a * a) * (t.b11 * t.b02 - t.a11 * t.a20)
             return tuple(phi)
 
         p = al.ModelParams(q=1, s=0.5, h=0.12, m=0.1)
         t = taylor_at(p, al.State(0.3, 0.3))
-        ours = phi_terms(t)
-        printed = alternative_phi_terms(t)
+        ours = al.first_lyapunov_coefficient(p, "E8").phi
+        printed = alternative_phi_terms(t, ours)
         assert ours[5] != pytest.approx(printed[5], rel=1e-6)
         assert ours[6] != pytest.approx(printed[6], rel=1e-6)
         lyap = al.lyapunov_number(t.a10, t.a01, t.b10, t.b01, t)

@@ -248,6 +248,12 @@ class TestBT:
 
     @pytest.mark.parametrize("argv, message", [
         ("--q 1 --m 0.25", "m = 2*h3 = 0.25: trace cannot vanish at the fold point"),
+        # h and s off a cusp base whose h3 or s1 is tiny: each is compared
+        # relative to the base value, so a gap below 1e-9 is still seen
+        ("--q 1e8 --m 1e-10 --h 3e-9",
+         "h = 3e-09 is not the diagonal fold value h3 = 2.499999975e-09"),
+        ("--q 1e-9 --m 0.1 --s 1e-9",
+         "s = 1e-09 is not the cusp value s1 = 1.2500001049879639e-09"),
         ("--q 1 --m 0.1 --grid 21 --eta-box 0.008",
          "perturbation (-0.008, -0.008) too large; the chain is local (|eta| <= 1e-2)"),
         # h3 = 1/4004, so the first cell's harvest would be negative
@@ -295,10 +301,13 @@ class TestBT:
         assert len(calls) == 2 * n - 1
 
     @pytest.mark.parametrize("argv, jac_det", [
-        # h3 = 1/(4(q + 1)) below 1e-6 at the first two, s1 = 1.25e-9 at the third
+        # h3 = 1/(4(q + 1)) below 1e-6 at the first two, s1 = 1.25e-9 at the
+        # third; at the fourth m lies 4e-10 from 2*h3 = 5e-10, far off it
+        # relative to 2*h3
         ("--q 1e6 --m 1e-7", 184.52865808174352),
         ("--q 3e5 --m 1e-6", 840.3632056146192),
         ("--q 1e-9 --m 0.1", 1.024000003456e29),
+        ("--q 1e9 --m 1e-10", 184.5281255330812),
     ])
     def test_bt_at_extreme_cusp_bases(self, capsys, argv, jac_det):
         assert main(["bt", *argv.split()]) == 0

@@ -423,7 +423,9 @@ class TestOneLinearisationPerEquilibrium:
         (1, 1.6666666666666667, 0.125, 0.1, "E7", SC.CUSP),  # cusp base
     ])
     def test_one_derivatives_call_per_equilibrium(self, monkeypatch, q, s, h, m, label, cls):
-        # the classifier and the normal-form check it calls share one bundle
+        # the classifier reads its saddle-node and cusp kernels from the one
+        # bundle; normal_forms is counted too, so a call through its
+        # wrappers would show
         import allee_lab.equilibria as eq
         import allee_lab.normal_forms as nf
 

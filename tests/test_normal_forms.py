@@ -98,6 +98,18 @@ class TestSaddleNodeCheck:
         chk = al.saddle_node_check(p, al.State(0.2, 0.2))
         assert chk.verdict is SaddleNodeVerdict.SADDLE_NODE
 
+    def test_diagonal_fold_on_the_allee_line_needs_higher_order(self):
+        # m = 2*h3 puts E7 = (m, m) on the Allee line, where b10 = b01 = 0:
+        # c20 = s*(m - 2h)*(1 + q)/(a01 + b10) vanishes, and the classifier
+        # reads the same kernel for the merged E6+E7
+        p = al.ModelParams(q=1, s=1, h=0.125, m=0.25)
+        chk = al.saddle_node_check(p, al.State(0.25, 0.25))
+        assert chk.c20 == 0.0
+        assert chk.rho == 0.25
+        assert chk.verdict is SaddleNodeVerdict.NEEDS_HIGHER_ORDER
+        classes = {e.label: e.classification for e in al.full_portrait(p)}
+        assert classes["E6+E7"] is al.StabilityClass.DEGENERATE
+
     def test_rejects_hyperbolic_and_doubly_degenerate_points(self):
         p = al.ModelParams(q=1, s=1, h=0.21, m=0.2)
         with pytest.raises(NotSemiDegenerate):
@@ -105,6 +117,45 @@ class TestSaddleNodeCheck:
         pc = al.cusp_base_params(1.0, 0.1)
         with pytest.raises(NotSemiDegenerate):
             al.saddle_node_check(pc, al.State(0.25, 0.25))
+
+
+def _eigenbasis_c20(t: al.TaylorCoefficients) -> float:
+    """c20 by the change to the eigenbasis (v0, v1), each eigenvector with
+    first component 1: the center equation's squared-coordinate coefficient,
+    an independent reference for the null-vector projection."""
+    tr = t.a10 + t.b01
+    v0 = (1.0, -t.a10 / t.a01)
+    v1 = (1.0, (tr - t.a10) / t.a01)
+    # D^2f(v0, v0) from f_xx = 2*a20, f_xy = a11, f_yy = 2*a02
+    q1 = 2.0 * t.a20 + 2.0 * t.a11 * v0[1] + 2.0 * t.a02 * v0[1] ** 2
+    q2 = 2.0 * t.b20 + 2.0 * t.b11 * v0[1] + 2.0 * t.b02 * v0[1] ** 2
+    return 0.5 * (v1[1] * q1 - q2) / (v1[1] - v0[1])
+
+
+class TestFoldCoefficientAgainstEigenbasis:
+    @pytest.mark.parametrize("label", ["E1", "E4", "E7"])
+    def test_projection_equals_the_eigenbasis_reference(self, label):
+        # folds on each branch: E1 at h = 1/4, E4 at h = (1 - q*m)^2/4 and
+        # E7 at h3 with s kept away from the cusp value s1
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            q, s, m = rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0), rng.uniform(0.05, 0.95)
+            if label == "E1":
+                p, u = al.ModelParams(q=q, s=s, h=0.25, m=m), al.State(0.5, 0.0)
+            elif label == "E4":
+                q = rng.uniform(0.05, 0.9) / m  # root sum A = 1 - q*m >= 0.1
+                A = 1.0 - q * m
+                p, u = al.ModelParams(q=q, s=s, h=A * A / 4.0, m=m), al.State(A / 2.0, m)
+            else:
+                h3 = 1.0 / (4.0 * (q + 1.0))
+                s1 = (4.0 * h3 - 1.0) / (2.0 * (m - 2.0 * h3))
+                if abs(s - s1) < 0.1 * abs(s1):
+                    s = 2.0 * s1
+                p, u = al.ModelParams(q=q, s=s, h=h3, m=m), al.State(2.0 * h3, 2.0 * h3)
+            chk = al.saddle_node_check(p, u)
+            assert chk.c20 == pytest.approx(_eigenbasis_c20(al.taylor_at(p, u)), rel=1e-12)
+            rep = al.sotomayor_saddle_node(p, u, "h")
+            assert rep.transversality2 == pytest.approx(-4.0 * chk.rho * chk.c20, rel=1e-12)
 
 
 class TestCuspCheck:
@@ -126,6 +177,18 @@ class TestCuspCheck:
         assert chk.g20 == pytest.approx((2 * h3 - 0.5) * (1 + q), abs=1e-10)
         assert chk.g11 == pytest.approx(-(p.s + 2 + q), abs=1e-10)
         assert chk.verdict is CuspVerdict.CODIM2_CUSP
+
+    def test_double_zero_on_the_allee_line_is_degenerate(self):
+        # the Allee fold at (m, m), h = m^2, q = (1 - 2m)/m: g20 vanishes,
+        # and the classifier reads the same kernel for the merged E4+E8
+        m = 0.4
+        p = al.ModelParams(q=(1 - 2 * m) / m, s=1.0, h=m * m, m=m)
+        chk = al.cusp_check(p, al.State(m, m))
+        assert abs(chk.g20) <= 1e-15
+        assert abs(chk.g11) > 0.5
+        assert chk.verdict is CuspVerdict.DEGENERATE
+        classes = {e.label: e.classification for e in al.full_portrait(p)}
+        assert classes["E4+E8"] is al.StabilityClass.DEGENERATE
 
     def test_rejects_semi_degenerate_point(self):
         p = al.ModelParams(q=1, s=1, h=0.25, m=0.2)
