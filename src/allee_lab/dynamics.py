@@ -2,10 +2,11 @@
 black-box equilibrium classification.
 
 Everything here deliberately avoids the analytic machinery of the other
-modules (classification is inferred from orbits, time scales from a
-finite-difference Jacobian, a limit cycle is a root of the one-turn return
-map), so it can serve as an independent cross-check on the closed-form
-results.
+modules (node or focus and the time scales come from a finite-difference
+Jacobian, stability from orbits: a focus's from the sign of P(r) - r on one
+turn of the return map, a node's or saddle's from probes; a limit cycle is
+a root of that map), so it can serve as an independent cross-check on the
+closed-form results.
 
 Integration uses the embedded Dormand-Prince 5(4) pair with per-step error
 control (`solve_ivp`) for two components on Python floats, the tableau in
@@ -19,10 +20,11 @@ take `MAX_STEPS` accepted steps; the reversed flows of
 `classify_by_simulation` are the same field integrated backward in time.
 The accuracy settings are fixed module constants: `integrate` runs at
 `RTOL`/`ATOL` with no step cap, each turn of a cycle hunt at the tighter
-`HUNT_RTOL`/`HUNT_ATOL` with steps of at most `HUNT_MAX_STEP`, and the
-probes of `classify_by_simulation` at `PROBE_RTOL`/`PROBE_ATOL`; callers
-choose only the horizon `t_max` (and a hunt's smallest radius).  Results
-are lists of Python floats: nothing here imports numpy.
+`HUNT_RTOL`/`HUNT_ATOL` with steps of at most `HUNT_MAX_STEP` (so does
+the focus turn of `classify_by_simulation`), and its probes at
+`PROBE_RTOL`/`PROBE_ATOL`; callers choose only the horizon `t_max` (and a
+hunt's smallest radius).  Results are lists of Python floats: nothing here
+imports numpy.
 """
 from __future__ import annotations
 
@@ -50,7 +52,7 @@ __all__ = [
 DIVERGENCE_BOUND = 1e6  # |u| at which a run counts as diverged
 X_FLOOR = 1e-8  # prey density at which every run stops (the domain floor)
 CAPTURE_FRACTION = 0.8  # cycle hunts stay within this share of the center's x
-PROBE_RADIUS = 1e-4  # distance of classify_by_simulation's probes from the point
+PROBE_RADIUS = 1e-4  # distance of classify_by_simulation's probes and focus turn from the point
 MAX_STEPS = 200_000  # accepted steps one solve_ivp run may take
 RTOL, ATOL = 1e-8, 1e-10  # integrate's tolerances; its steps are uncapped
 # a cycle hunt's tolerances and step cap: its return map needs the tighter ones
@@ -552,10 +554,8 @@ def detect_cycle(p: ModelParams, center: State, *, t_max: float = 6000.0,
 class SimVerdict(enum.Enum):
     STABLE_NODE = "StableNode"
     STABLE_FOCUS = "StableFocus"
-    STABLE = "StableNodeOrFocus"
     UNSTABLE_NODE = "UnstableNode"
     UNSTABLE_FOCUS = "UnstableFocus"
-    UNSTABLE = "UnstableNodeOrFocus"
     SADDLE = "Saddle"
     INCONCLUSIVE = "Inconclusive"
 
@@ -572,57 +572,54 @@ def _fd_jacobian(p: ModelParams, x: float, y: float, step: float = 1e-6):
     return (fx1 - bx1) / w, (fy1 - by1) / w, (fx2 - bx2) / w, (fy2 - by2) / w
 
 
-def _winding(xs: list[float], ys: list[float], cx: float, cy: float) -> float:
-    """|Total angle| the points turn about (cx, cy), unwrapped as np.unwrap
-    does: a step of more than pi one way is taken as less than pi the other."""
-    angles = [math.atan2(y - cy, x - cx) for x, y in zip(xs, ys)]
-    turns = 0
-    for a, b in zip(angles, angles[1:]):
-        if b - a > math.pi:
-            turns -= 1
-        elif b - a < -math.pi:
-            turns += 1
-    return abs(angles[-1] - angles[0] + 2 * math.pi * turns)
-
-
-def _probe(p: ModelParams, center: State, u0: tuple[float, float], events: list,
-           t_end: float, max_step: float) -> tuple[str, float]:
-    """Integrate one probe over (0, t_end); returns (outcome, |winding angle|).
-
-    `events` are the inner ball, the outer ball and the floor.  Outcome is
-    'A' if the probe fell into the inner ball, 'E' if it left the outer
-    one (or the domain), 'U' otherwise.
-    """
+def _probe(p: ModelParams, u0: tuple[float, float], events: list, t_end: float,
+           max_step: float) -> str:
+    """Integrate one probe over (0, t_end): 'A' if it fell into the inner
+    ball, 'E' if it left the outer one (or the domain), 'U' otherwise.
+    `events` are the inner ball, the outer ball and the floor."""
     sol = solve_ivp(
         _rhs(p), (0.0, t_end), u0,
         rtol=PROBE_RTOL, atol=PROBE_ATOL, max_step=max_step, events=events,
     )
-    winding = _winding(*sol.y, center.x, center.y)
     if sol.status == 0:
-        return "U", winding
-    return ("A" if sol.status == 1 and len(sol.t_events[0]) else "E"), winding
+        return "U"
+    return "A" if sol.status == 1 and len(sol.t_events[0]) else "E"
 
 
 def classify_by_simulation(p: ModelParams, e) -> SimVerdict:
     """Infer the local type of an equilibrium from trajectories.
 
+    The finite-difference Jacobian decides node or focus by the sign of its
+    eigenvalue discriminant; within 1e-6 * max(1, |J|_F^2) of zero (or where
+    the Jacobian overflows) the point is Inconclusive before any integration.
+    A focus is decided by one turn of the return map to the section
+    {y = yc, x > xc}, from r = `PROBE_RADIUS` in the flow's orientation
+    there (as `detect_cycle` turns it): P(r) - r < 0 is a stable focus,
+    > 0 an unstable one (Perko, Differential Equations and Dynamical
+    Systems, section 3.4).  The turn may take 100/sqrt(-disc) (about eight
+    periods), at most 3000, and its gap must exceed ten times the hunt's
+    accuracy at the section.  A focus whose turn does not come back (it
+    leaves the capture ball, or is damped below rounding) or whose gap is
+    lost in that noise falls through to the probes, as nodes and saddles
+    do.
+
     Eight probes at distance `PROBE_RADIUS` are integrated forward and (all
     over again) in reversed time, each until it comes within PROBE_RADIUS/100
-    of the point or gets 100*PROBE_RADIUS away.  Attraction patterns decide
-    stability:
+    of the point or gets 100*PROBE_RADIUS away, over a horizon of 30 times
+    the slowest time scale (at least 50, at most 3000).  Attraction
+    patterns decide stability:
 
         forward all-in,  reversed all-out  ->  stable node/focus
         forward all-out, reversed all-in   ->  unstable node/focus
         forward all-out, reversed all-out  ->  saddle (saddles survive
                                                time reversal)
 
-    The node/focus refinement combines the accumulated winding angle with
-    the measured (finite-difference) linearisation; see `subtype` below.
-    Any other pattern, or probes that cannot decide within the horizon, is
-    reported Inconclusive rather than guessed.  `e` is anything with x/y
-    attributes (an Equilibrium or a State); a point off the domain, as
-    `integrate` checks it, or within the finite-difference step of x = 0
-    raises ValueError (DomainViolation for y < 0).
+    Any other pattern, probes that cannot decide within the horizon, or a
+    slowest rate below 1e-6 (a weak centre, a fold) is reported
+    Inconclusive rather than guessed.  `e` is anything with x/y attributes
+    (an Equilibrium or a State); a point off the domain, as `integrate`
+    checks it, or within the finite-difference step of x = 0 raises
+    ValueError (DomainViolation for y < 0).
     """
     xc, yc = float(e.x), float(e.y)
     center = State(xc, yc)
@@ -630,9 +627,20 @@ def classify_by_simulation(p: ModelParams, e) -> SimVerdict:
     j11, j12, j21, j22 = _fd_jacobian(p, xc, yc)
     tr_fd, det_fd = j11 + j22, j11 * j22 - j12 * j21
     disc_fd = tr_fd * tr_fd - 4.0 * det_fd
+    disc_margin = 1e-6 * max(1.0, j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22)
+    if not disc_margin < abs(disc_fd) < math.inf:
+        return SimVerdict.INCONCLUSIVE
+    focus = disc_fd < 0
+    # a focus whose turn decides nothing goes on to the probes, which need
     # the slowest rate |Re lambda| and the rotation |Im lambda|; of two real
     # roots the small one is det / large root, which does not cancel
-    if disc_fd < 0:
+    if focus:
+        x0 = xc + PROBE_RADIUS
+        orientation = math.copysign(1.0, _rhs(p)(0.0, (x0, yc))[1])
+        turn = _one_turn(p, center, PROBE_RADIUS, orientation,
+                         min(3000.0, 100.0 / math.sqrt(-disc_fd)))
+        if turn is not None and abs(turn[0] - x0) > 10 * (HUNT_ATOL + HUNT_RTOL * x0):
+            return SimVerdict.STABLE_FOCUS if turn[0] < x0 else SimVerdict.UNSTABLE_FOCUS
         min_rate, rot = abs(tr_fd) / 2, math.sqrt(-disc_fd) / 2
     else:
         large = (tr_fd + math.copysign(math.sqrt(disc_fd), tr_fd)) / 2
@@ -645,7 +653,6 @@ def classify_by_simulation(p: ModelParams, e) -> SimVerdict:
               _ball_event(center, PROBE_RADIUS * 1e2, 1.0), _floor_event()]
 
     outcomes: dict[bool, list[str]] = {False: [], True: []}
-    windings: dict[bool, list[float]] = {False: [], True: []}
     for reverse in (False, True):
         for k in range(8):
             # small offset keeps probes off the axis-aligned eigendirections
@@ -654,37 +661,16 @@ def classify_by_simulation(p: ModelParams, e) -> SimVerdict:
             u0 = (xc + PROBE_RADIUS * math.cos(ang), yc + PROBE_RADIUS * math.sin(ang))
             if u0[0] <= X_FLOOR or u0[1] < 0.0:
                 continue  # probe would start outside the admissible domain
-            out, wind = _probe(p, center, u0, events, -t_max if reverse else t_max, max_step)
-            outcomes[reverse].append(out)
-            windings[reverse].append(wind)
+            outcomes[reverse].append(
+                _probe(p, u0, events, -t_max if reverse else t_max, max_step))
 
     fwd, rev = outcomes[False], outcomes[True]
     if not fwd or not rev or "U" in fwd or "U" in rev:
         return SimVerdict.INCONCLUSIVE
-
-    disc_margin = 1e-6 * max(1.0, j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22)
-
-    def subtype(stable: bool) -> SimVerdict:
-        # Stability itself is decided purely from orbits.  The node/focus
-        # subtype is not always orbit-decidable: a node's winding is
-        # rigorously below pi, but a slowly rotating focus may also stay
-        # below pi for the whole observable decay.  Windings above pi prove
-        # a focus; otherwise the measured (finite-difference) linearisation
-        # breaks the tie, and any conflict falls back to the composite.
-        w = windings[False] if stable else windings[True]
-        orbit_focus = min(w) >= 2.0 * math.pi or max(w) > 1.05 * math.pi
-        if orbit_focus and disc_fd < disc_margin:
-            return SimVerdict.STABLE_FOCUS if stable else SimVerdict.UNSTABLE_FOCUS
-        if disc_fd < -disc_margin and not orbit_focus:
-            return SimVerdict.STABLE_FOCUS if stable else SimVerdict.UNSTABLE_FOCUS
-        if disc_fd > disc_margin and not orbit_focus:
-            return SimVerdict.STABLE_NODE if stable else SimVerdict.UNSTABLE_NODE
-        return SimVerdict.STABLE if stable else SimVerdict.UNSTABLE
-
     if all(o == "A" for o in fwd) and all(o == "E" for o in rev):
-        return subtype(stable=True)
+        return SimVerdict.STABLE_FOCUS if focus else SimVerdict.STABLE_NODE
     if all(o == "E" for o in fwd) and all(o == "A" for o in rev):
-        return subtype(stable=False)
+        return SimVerdict.UNSTABLE_FOCUS if focus else SimVerdict.UNSTABLE_NODE
     # saddles escape in both time directions; tolerate a couple of probes
     # landing close enough to an invariant manifold to fall in instead
     if fwd.count("A") <= 2 and rev.count("A") <= 2:

@@ -113,17 +113,3 @@ def mp_cusp_chain(q: float, m: float, digits: int = 50):
 
 def rel_err(analytic: float, approx: float) -> float:
     return abs(analytic - approx) / max(1.0, abs(analytic))
-
-
-# mapping: which oracle verdicts count as agreement with an analytic class
-SIM_AGREE = {
-    "StableNode": {"StableNode", "StableNodeOrFocus"},
-    "StableFocus": {"StableFocus", "StableNodeOrFocus"},
-    "UnstableNode": {"UnstableNode", "UnstableNodeOrFocus"},
-    "UnstableFocus": {"UnstableFocus", "UnstableNodeOrFocus"},
-    "Saddle": {"Saddle"},
-}
-
-
-def sim_agrees(true_class: str, sim_verdict: str) -> bool:
-    return sim_verdict in SIM_AGREE.get(true_class, set())

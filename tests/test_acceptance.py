@@ -31,7 +31,6 @@ from helpers import (
     random_params,
     random_state,
     rel_err,
-    sim_agrees,
 )
 
 SC = al.StabilityClass
@@ -167,7 +166,7 @@ def test_criterion_2_classification_grid(acceptance):
             if verdict is SV.INCONCLUSIVE:
                 oracle_inconclusive += 1
             else:
-                assert sim_agrees(e.classification.value, verdict.value), (
+                assert verdict.value == e.classification.value, (
                     f"oracle contradiction at {p} {label}: "
                     f"{e.classification.value} vs {verdict.value}"
                 )
@@ -296,7 +295,7 @@ def test_criterion_5_6_oracle_verdicts_pinned(hopf_cycles):
     q, h, m = 1.0, 0.12, 0.1
     s2 = hopf_cycles["s2"]
     expected = {
-        0.01: (True, 44.86334911602407, 0.02504249493939868, 11, "Inconclusive"),
+        0.01: (True, 44.86334911602407, 0.02504249493939868, 11, "StableFocus"),
         0.02: (True, 45.33293870917754, 0.03570416764861736, 13, "StableFocus"),
         0.04: (True, 46.395225569248986, 0.051158067701441504, 14, "StableFocus"),
         -0.02: (False, None, None, 4, "UnstableFocus"),
