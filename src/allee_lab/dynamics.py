@@ -9,15 +9,18 @@ a root of that map), so it can serve as an independent cross-check on the
 closed-form results.
 
 Integration uses the embedded Dormand-Prince 5(4) pair with per-step error
-control (`solve_ivp`) for two components on Python floats, the tableau in
-locals and the field one closure call per stage (`_rhs`): of a cycle hunt's
-6 us step (2-core Xeon, CPython 3.11) the six calls take about 1.7 us, the
-stage sums the rest.  Its tableau, step-size controller, event location and
-`nfev` count follow the usual RK45 solver contract.  The predator equation
-is singular at x = 0, so every run carries a terminal "domain floor" event
-instead of ever evaluating 1/x at rounding-scale prey densities.  A run may
-take `MAX_STEPS` accepted steps; the reversed flows of
-`classify_by_simulation` are the same field integrated backward in time.
+control, `solve_ivp(p, t_span, y0, *, t_eval=None, events=None, rtol, atol,
+max_step)`, on two Python floats.  It integrates the model at the
+parameters `p` itself: the tableau sits in locals and each of a step's six
+stages is `model._field`'s arithmetic written out, operation for operation,
+so a cycle hunt's step takes about 3.6 us with its three events and 2.8 us
+without (2-core Xeon, CPython 3.11).  Its tableau, step-size controller,
+event location and `nfev` count follow the usual RK45 solver contract.
+The predator equation is singular at x = 0, so every run carries a
+terminal "domain floor" event instead of ever evaluating 1/x at
+rounding-scale prey densities.  A run may take `MAX_STEPS` accepted steps;
+the reversed flows of `classify_by_simulation` are the same field
+integrated backward in time.
 The accuracy settings are fixed module constants: `integrate` runs at
 `RTOL`/`ATOL` with no step cap, each turn of a cycle hunt at the tighter
 `HUNT_RTOL`/`HUNT_ATOL` with steps of at most `HUNT_MAX_STEP` (so does
@@ -62,10 +65,10 @@ _SCAN_RATIO = 1.5  # a cycle hunt scans start radii start_radius * 1.5**k
 
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Sec. II.5) with Shampine's
-# quartic dense output, in the usual RK45 floats.  Stage 2 has zero weight in
-# B, E and P, so those sums skip it; _Pjk is P's weight of stage k in the
-# power-j coefficient, and power 1 takes stage 1 alone.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+# quartic dense output, in the usual RK45 floats.  The field is autonomous, so
+# the stage nodes c_i never enter.  Stage 2 has zero weight in B, E and P, so
+# those sums skip it; _Pjk is P's weight of stage k in the power-j
+# coefficient, and power 1 takes stage 1 alone.
 _A21, _A31, _A32 = 1 / 5, 3 / 40, 9 / 40
 _A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
 _A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
@@ -85,23 +88,21 @@ _P41, _P43, _P44, _P45, _P46, _P47 = (
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.9, 0.2, 10.0, -1 / 5
 _EPS = sys.float_info.epsilon
 _SQRT2 = 2**0.5
-# where IEEE arithmetic would give inf or nan, Python floats raise one of these
-_FLOAT_FAULTS = (ZeroDivisionError, OverflowError)
 
 
 def _rms(a: float, b: float) -> float:
     return math.sqrt(a * a + b * b) / _SQRT2
 
 
-def _initial_step(fun, t0, x, y, fx, fy, interval, max_step, d, rtol, atol) -> float:
+def _initial_step(p: ModelParams, x, y, fx, fy, interval, max_step, d, rtol, atol) -> float:
     # the starting-step rule of Hairer, Norsett & Wanner, Sec. II.4
     try:
         sx, sy = atol + abs(x) * rtol, atol + abs(y) * rtol
         d0, d1 = _rms(x / sx, y / sy), _rms(fx / sx, fy / sy)
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-        gx, gy = fun(t0 + h0 * d, (x + h0 * d * fx, y + h0 * d * fy))
+        gx, gy = _field(p.q, p.s, p.h, p.m, x + h0 * d * fx, y + h0 * d * fy)
         d2 = _rms((gx - fx) / sx, (gy - fy) / sy) / h0
-    except _FLOAT_FAULTS:
+    except ZeroDivisionError:
         return 0.0  # h0 = 0 when the field is infinite, and the rule gives 0 then
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -119,9 +120,10 @@ def _coefficients(k1, k3, k4, k5, k6, k7):
             0.0 + k1 * _P41 + k3 * _P43 + k4 * _P44 + k5 * _P45 + k6 * _P46 + k7 * _P47)
 
 
-def _dense_output(t_old, h, x_old, y_old, kx, ky):
-    """The quartic interpolant `sol(t)` of one step from t_old to t_old + h."""
-    (qx1, qx2, qx3, qx4), (qy1, qy2, qy3, qy4) = _coefficients(*kx), _coefficients(*ky)
+def _dense_output(t_old, h, x_old, y_old, qx, qy):
+    """The quartic interpolant `sol(t)` of one step from t_old to t_old + h,
+    from each component's `_coefficients`."""
+    (qx1, qx2, qx3, qx4), (qy1, qy2, qy3, qy4) = qx, qy
 
     def sol(t):
         s1 = (t - t_old) / h
@@ -178,23 +180,24 @@ def _brentq(f, xpre, xcur, xtol=4 * _EPS, rtol=4 * _EPS, maxiter=100) -> float:
     raise RuntimeError(f"brentq failed to converge after {maxiter} iterations")
 
 
-def solve_ivp(fun, t_span, y0, *, t_eval=None, events=None,
-              rtol=1e-3, atol=1e-6, max_step=math.inf) -> SimpleNamespace:
-    """Integrate `fun(t, (x, y)) -> (dx/dt, dy/dt)` by the RK45 contract.
+def solve_ivp(p: ModelParams, t_span, y0, *, t_eval=None, events=None,
+              rtol: float, atol: float, max_step: float) -> SimpleNamespace:
+    """Integrate the model's field at `p` from `y0` = (x, y) by the RK45 contract.
 
     Standard RK45 initial step and controller (RMS error norm, safety 0.9,
-    step factors 0.2-10, no growth right after a rejection); events located
-    on the dense output, honouring `.terminal` and `.direction`; `t_eval`
-    (ordered along `t_span`) sampled from it.  A stage that divides by zero
-    or overflows rejects the step, as an inf or nan error norm does, so a
-    blow-up ends in a step-size underflow.  Returns lists of floats: `t`,
-    `y` as the pair `(xs, ys)`, and per event `t_events` (times) and
-    `y_events` (`(x, y)` tuples), or None without `events`; then `status`
-    (0 end of span, 1 terminal event, -1 step-size underflow) and `nfev`
-    (2 + 6 per attempted step).  A run that needs more than `MAX_STEPS`
-    accepted steps raises StepBudgetExceeded.  The keywords are scipy's for
-    its default RK45, which has no `method` here.  Call sites look this name
-    up at call time, so a caller can swap in a wrapper.
+    step factors 0.2-10, no growth right after a rejection); events, each a
+    callable `g(t, (x, y))`, located on the dense output, honouring
+    `.terminal` and `.direction`; `t_eval` (ordered along `t_span`) sampled
+    from it.  The six stages of a step are `model._field`'s arithmetic
+    written out, operation for operation.  A stage that divides by zero (the
+    predator equation's y / x at x = 0.0) rejects the step, as an inf or nan
+    error norm does, so a blow-up ends in a step-size underflow.  Returns
+    lists of floats: `t`, `y` as the pair `(xs, ys)`, and per event
+    `t_events` (times) and `y_events` (`(x, y)` tuples), or None without
+    `events`; then `status` (0 end of span, 1 terminal event, -1 step-size
+    underflow) and `nfev` (2 + 6 per attempted step).  A run that needs more
+    than `MAX_STEPS` accepted steps raises StepBudgetExceeded.  Call sites
+    look this name up at call time, so a caller can swap in a wrapper.
     """
     t0, tf = float(t_span[0]), float(t_span[1])
     x, y = float(y0[0]), float(y0[1])
@@ -204,7 +207,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval=None, events=None,
         raise ValueError("`max_step` and the length of `t_span` must be positive.")
     d = 1.0 if tf > t0 else -1.0
     samples = [float(v) for v in t_eval] if t_eval is not None else None
-    n_sampled = 0
+    n_samples, n_sampled = (0 if samples is None else len(samples)), 0
     evs = list(events or ())
     directions = [getattr(ev, "direction", 0) for ev in evs]
     terminal = [bool(getattr(ev, "terminal", False)) for ev in evs]
@@ -212,16 +215,17 @@ def solve_ivp(fun, t_span, y0, *, t_eval=None, events=None,
     g = [ev(t0, (x, y)) for ev in evs]
 
     t = t0
-    k1x, k1y = fun(t, (x, y))
-    h_abs = _initial_step(fun, t, x, y, k1x, k1y, abs(tf - t0), max_step, d, rtol, atol)
+    q, s, harvest, m = p.q, p.s, p.h, p.m
+    k1x, k1y = _field(q, s, harvest, m, x, y)
+    h_abs = _initial_step(p, x, y, k1x, k1y, abs(tf - t0), max_step, d, rtol, atol)
     nfev = 2
-    ts, us = ([t0], [(x, y)]) if samples is None else ([], [])
+    ts, xs, ys = ([t0], [x], [y]) if samples is None else ([], [], [])
     status = None
     budget, n_steps = MAX_STEPS, 0
     # bound once: the loop reads each of these every step, and a local is cheapest
-    c2, c3, c4, c5, a21, a31, a32 = _C2, _C3, _C4, _C5, _A21, _A31, _A32
-    a41, a42, a43, a51, a52, a53, a54 = _A41, _A42, _A43, _A51, _A52, _A53, _A54
-    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
+    a51, a52, a53, a54, a61, a62, a63, a64, a65 = (_A51, _A52, _A53, _A54,
+                                                   _A61, _A62, _A63, _A64, _A65)
     b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
     e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
     safety, min_factor, max_factor, exponent = _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT
@@ -234,7 +238,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval=None, events=None,
                 "the step size is too small for this horizon"
             )
         n_steps += 1
-        min_step = 10 * abs(nextafter(t, toward) - t)
+        min_step = 10.0 * abs(nextafter(t, toward) - t)
         if h_abs > max_step:
             h_abs = max_step
         elif h_abs < min_step:
@@ -242,59 +246,74 @@ def solve_ivp(fun, t_span, y0, *, t_eval=None, events=None,
         rejected = False
         while h_abs >= min_step:
             t_new = t + h_abs * d
-            if d * (t_new - tf) > 0:
+            if d * (t_new - tf) > 0.0:
                 t_new = tf
             h = t_new - t
             h_abs = abs(h)
             nfev += 6
+            # each stage at (u, v) is model._field(q, s, harvest, m, u, v), written out
             try:
-                k2x, k2y = fun(t + c2 * h, (x + (a21 * k1x) * h, y + (a21 * k1y) * h))
-                k3x, k3y = fun(t + c3 * h, (x + (a31 * k1x + a32 * k2x) * h,
-                                            y + (a31 * k1y + a32 * k2y) * h))
-                k4x, k4y = fun(t + c4 * h, (x + (a41 * k1x + a42 * k2x + a43 * k3x) * h,
-                                            y + (a41 * k1y + a42 * k2y + a43 * k3y) * h))
-                k5x, k5y = fun(t + c5 * h, (
-                    x + (a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x) * h,
-                    y + (a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y) * h))
-                k6x, k6y = fun(t + h, (
-                    x + (a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x) * h,
-                    y + (a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y) * h))
-                x_new = x + h * (b1 * k1x + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x)
-                y_new = y + h * (b1 * k1y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y)
-                u_new = (x_new, y_new)
-                k7x, k7y = fun(t_new, u_new)
+                u, v = x + (a21 * k1x) * h, y + (a21 * k1y) * h
+                k2x, k2y = u * (1.0 - u) - q * u * v - harvest, s * v * (1.0 - v / u) * (v - m)
+                u = x + (a31 * k1x + a32 * k2x) * h
+                v = y + (a31 * k1y + a32 * k2y) * h
+                k3x, k3y = u * (1.0 - u) - q * u * v - harvest, s * v * (1.0 - v / u) * (v - m)
+                u = x + (a41 * k1x + a42 * k2x + a43 * k3x) * h
+                v = y + (a41 * k1y + a42 * k2y + a43 * k3y) * h
+                k4x, k4y = u * (1.0 - u) - q * u * v - harvest, s * v * (1.0 - v / u) * (v - m)
+                u = x + (a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x) * h
+                v = y + (a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y) * h
+                k5x, k5y = u * (1.0 - u) - q * u * v - harvest, s * v * (1.0 - v / u) * (v - m)
+                u = x + (a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x) * h
+                v = y + (a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y) * h
+                k6x, k6y = u * (1.0 - u) - q * u * v - harvest, s * v * (1.0 - v / u) * (v - m)
+                u = x_new = x + h * (b1 * k1x + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x)
+                v = y_new = y + h * (b1 * k1y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y)
+                k7x, k7y = u * (1.0 - u) - q * u * v - harvest, s * v * (1.0 - v / u) * (v - m)
+                # each scale is max(|old|, |new|), picked as max() picks it
+                u, v = abs(x), abs(x_new)
                 ex = (e1 * k1x + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x
-                      + e7 * k7x) * h / (atol + max(abs(x), abs(x_new)) * rtol)
+                      + e7 * k7x) * h / (atol + (v if v > u else u) * rtol)
+                u, v = abs(y), abs(y_new)
                 ey = (e1 * k1y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y
-                      + e7 * k7y) * h / (atol + max(abs(y), abs(y_new)) * rtol)
+                      + e7 * k7y) * h / (atol + (v if v > u else u) * rtol)
                 error = sqrt(ex * ex + ey * ey) / sqrt2
-            except _FLOAT_FAULTS:
+            except ZeroDivisionError:  # y / x at x = 0.0: float +, - and * give inf instead
                 error = math.inf
-            if error < 1:
-                factor = (max_factor if error == 0
-                          else min(max_factor, safety * error**exponent))
-                h_abs *= min(1.0, factor) if rejected else factor
+            # min() and max() of the controller, as comparisons that pick the same float
+            if error < 1.0:
+                if error == 0.0:
+                    factor = max_factor
+                else:
+                    factor = safety * error**exponent
+                    factor = factor if factor < max_factor else max_factor
+                h_abs *= (factor if factor < 1.0 else 1.0) if rejected else factor
                 break
-            h_abs *= max(min_factor, safety * error**exponent)
+            factor = safety * error**exponent
+            h_abs *= factor if factor > min_factor else min_factor
             rejected = True
         else:
             status = -1
             break
         t_old, x_old, y_old = t, x, y
-        t, x, y, u = t_new, x_new, y_new, u_new
-        if d * (t - tf) >= 0:
+        t, x, y = t_new, x_new, y_new
+        if d * (t - tf) >= 0.0:
             status = 0
         active = ()
-        for i in n_evs:  # g holds each event's value at the step's start, then its end
-            a, b, s = g[i], evs[i](t, u), directions[i]
-            g[i] = b
-            if (s >= 0 and a <= 0 <= b) or (s <= 0 and a >= 0 >= b):
-                active = [*active, i]
-        if active or (samples is not None and n_sampled < len(samples)
-                      and d * (samples[n_sampled] - t) <= 0):
-            sol = _dense_output(t_old, h, x_old, y_old, (k1x, k3x, k4x, k5x, k6x, k7x),
-                                (k1y, k3y, k4y, k5y, k6y, k7y))
+        if evs:
+            point = (x, y)
+            for i in n_evs:  # g holds each event's value at the step's start, then its end
+                g_old, g_new, sign = g[i], evs[i](t, point), directions[i]
+                g[i] = g_new
+                if ((sign >= 0.0 and g_old <= 0.0 <= g_new)
+                        or (sign <= 0.0 and g_old >= 0.0 >= g_new)):
+                    active = [*active, i]
+        due = n_sampled < n_samples and d * (samples[n_sampled] - t) <= 0.0
+        if active or due:
+            qx = _coefficients(k1x, k3x, k4x, k5x, k6x, k7x)
+            qy = _coefficients(k1y, k3y, k4y, k5y, k6y, k7y)
         if active:
+            sol = _dense_output(t_old, h, x_old, y_old, qx, qy)
             hits = []
             for i in active:
                 hits.append((i, _brentq(lambda tt, ev=evs[i]: ev(tt, sol(tt)), t_old, t)))
@@ -304,22 +323,31 @@ def solve_ivp(fun, t_span, y0, *, t_eval=None, events=None,
                 del hits[last + 1:]
                 status = 1
                 t = hits[-1][1]
-                x, y = u = sol(t)
+                x, y = sol(t)
             for i, te in hits:
                 t_events[i].append(te)
                 y_events[i].append(sol(te))
         if samples is None:
             ts.append(t)
-            us.append(u)
-        else:
-            while n_sampled < len(samples) and d * (samples[n_sampled] - t) <= 0:
-                ts.append(samples[n_sampled])
-                us.append(sol(samples[n_sampled]))
+            xs.append(x)
+            ys.append(y)
+        elif due:
+            # sol(t) of each sample written out
+            (qx1, qx2, qx3, qx4), (qy1, qy2, qy3, qy4) = qx, qy
+            while n_sampled < n_samples and d * (samples[n_sampled] - t) <= 0.0:
+                t_sample = samples[n_sampled]
+                s1 = (t_sample - t_old) / h
+                s2 = s1 * s1
+                s3 = s2 * s1
+                s4 = s3 * s1
+                ts.append(t_sample)
+                xs.append(x_old + h * (qx1 * s1 + qx2 * s2 + qx3 * s3 + qx4 * s4))
+                ys.append(y_old + h * (qy1 * s1 + qy2 * s2 + qy3 * s3 + qy4 * s4))
                 n_sampled += 1
         k1x, k1y = k7x, k7y
     has_events = events is not None
     return SimpleNamespace(
-        t=ts, y=([u[0] for u in us], [u[1] for u in us]), status=status, nfev=nfev,
+        t=ts, y=(xs, ys), status=status, nfev=nfev,
         t_events=t_events if has_events else None,
         y_events=y_events if has_events else None)
 
@@ -336,17 +364,6 @@ class Trajectory(NamedTuple):
     x: list[float]
     y: list[float]
     terminal: TerminalReason
-
-
-def _rhs(p: ModelParams):
-    # model._field in one frame; reversed flows run it backward, over (t0, -t_end)
-    q, s, h, m = p.q, p.s, p.h, p.m
-
-    def field(t, u):
-        x, y = u
-        return x * (1.0 - x) - q * x * y - h, s * y * (1.0 - y / x) * (y - m)
-
-    return field
 
 
 def _event(g, direction: float, terminal: bool = True):
@@ -404,7 +421,7 @@ def integrate(p: ModelParams, u0: State, *, t_max: float = 200.0) -> Trajectory:
     `X_FLOOR`, or the solution blew up / the stepper failed.
     """
     _check_run(u0, t_max)
-    sol = solve_ivp(_rhs(p), (0.0, t_max), (u0.x, u0.y), rtol=RTOL, atol=ATOL,
+    sol = solve_ivp(p, (0.0, t_max), (u0.x, u0.y), rtol=RTOL, atol=ATOL, max_step=math.inf,
                     events=[_floor_event(), _divergence_event()])
     t, (xs, ys) = sol.t, sol.y
     if sol.status == 1:
@@ -452,16 +469,15 @@ def _one_turn(p: ModelParams, center: State, r: float, orientation: float,
     in `orientation`, or if the orbit leaves the ball, reaches the domain
     floor, returns at x <= xc or not within `t_max`.
     """
-    rhs = _rhs(p)
     xc, yc = center.x, center.y
     ball = CAPTURE_FRACTION * xc
-    if not (r < ball and orientation * rhs(0.0, (xc + r, yc))[1] > 1e-10):
+    if not (r < ball and orientation * _field(p.q, p.s, p.h, p.m, xc + r, yc)[1] > 1e-10):
         return None
     stops = [_floor_event(), _ball_event(center, ball, 1.0)]
     t, u = 0.0, (xc + r, yc)
     for direction in (-orientation, orientation):
         section = _event(lambda t, u: u[1] - yc, direction)
-        sol = solve_ivp(rhs, (t, t_max), u, rtol=HUNT_RTOL, atol=HUNT_ATOL,
+        sol = solve_ivp(p, (t, t_max), u, rtol=HUNT_RTOL, atol=HUNT_ATOL,
                         max_step=HUNT_MAX_STEP, events=[section, *stops])
         if not sol.t_events[0]:
             return None
@@ -470,8 +486,8 @@ def _one_turn(p: ModelParams, center: State, r: float, orientation: float,
 
 
 def _one_period(p: ModelParams, center: State, x_start: float, t_end: float) -> float:
-    sol = solve_ivp(_rhs(p), (0.0, t_end), (x_start, center.y), rtol=HUNT_RTOL,
-                    atol=HUNT_ATOL, t_eval=_linspace(0.0, t_end, 2000))
+    sol = solve_ivp(p, (0.0, t_end), (x_start, center.y), rtol=HUNT_RTOL, atol=HUNT_ATOL,
+                    max_step=math.inf, t_eval=_linspace(0.0, t_end, 2000))
     return max(math.hypot(x - center.x, y - center.y) for x, y in zip(*sol.y))
 
 
@@ -506,7 +522,7 @@ def detect_cycle(p: ModelParams, center: State, *, t_max: float = 6000.0,
     _check_run(start, t_max)
     if not start_radius > 0:
         raise ValueError("start_radius must be positive")
-    f2 = _rhs(p)(0.0, (start.x, start.y))[1]
+    f2 = _field(p.q, p.s, p.h, p.m, start.x, start.y)[1]
     if abs(f2) <= 1e-10:
         raise NoCrossings("orbit does not cross the section through the center transversally")
     orientation = math.copysign(1.0, f2)
@@ -578,7 +594,7 @@ def _probe(p: ModelParams, u0: tuple[float, float], events: list, t_end: float,
     ball, 'E' if it left the outer one (or the domain), 'U' otherwise.
     `events` are the inner ball, the outer ball and the floor."""
     sol = solve_ivp(
-        _rhs(p), (0.0, t_end), u0,
+        p, (0.0, t_end), u0,
         rtol=PROBE_RTOL, atol=PROBE_ATOL, max_step=max_step, events=events,
     )
     if sol.status == 0:
@@ -636,7 +652,7 @@ def classify_by_simulation(p: ModelParams, e) -> SimVerdict:
     # roots the small one is det / large root, which does not cancel
     if focus:
         x0 = xc + PROBE_RADIUS
-        orientation = math.copysign(1.0, _rhs(p)(0.0, (x0, yc))[1])
+        orientation = math.copysign(1.0, _field(p.q, p.s, p.h, p.m, x0, yc)[1])
         turn = _one_turn(p, center, PROBE_RADIUS, orientation,
                          min(3000.0, 100.0 / math.sqrt(-disc_fd)))
         if turn is not None and abs(turn[0] - x0) > 10 * (HUNT_ATOL + HUNT_RTOL * x0):

@@ -6,18 +6,20 @@ checking.  Third derivatives use Richardson-extrapolated central stencils
 with steps scaled by x (the field's high derivatives grow like powers of
 1/x).  The Bogdanov-Takens oracles difference the coefficient chain
 itself, in floats or in mpmath at the exact cusp, to check the closed form
-of its unfolding Jacobian.
+of its unfolding Jacobian.  `stepper_global_errors` measures the package's
+integrator against scipy's DOP853.
 """
 from __future__ import annotations
 
 import contextlib
+import math
 from types import SimpleNamespace
 from unittest import mock
 
 import mpmath
 import numpy as np
 
-from allee_lab import bifurcations
+from allee_lab import bifurcations, dynamics
 from allee_lab.model import ModelParams, _field
 
 
@@ -113,3 +115,20 @@ def mp_cusp_chain(q: float, m: float, digits: int = 50):
 
 def rel_err(analytic: float, approx: float) -> float:
     return abs(analytic - approx) / max(1.0, abs(analytic))
+
+
+def stepper_global_errors(tols=(1e-6, 1e-8, 1e-10)) -> list[float]:
+    """Global error at t = 1 of `dynamics.solve_ivp` on the model flow at
+    (q, s, h, m) = (1, 1, 0.21, 0.2) from (0.8, 0.3), one per rtol in `tols`
+    (atol 100 times smaller), against scipy's DOP853 at rtol 1e-13."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    p = ModelParams(q=1.0, s=1.0, h=0.21, m=0.2)
+    ref = scipy_solve_ivp(lambda t, u: _field(p.q, p.s, p.h, p.m, *u), (0.0, 1.0), (0.8, 0.3),
+                          method="DOP853", rtol=1e-13, atol=1e-15).y[:, -1]
+    errors = []
+    for tol in tols:
+        sol = dynamics.solve_ivp(p, (0.0, 1.0), (0.8, 0.3), rtol=tol, atol=tol * 1e-2,
+                                 max_step=math.inf)
+        errors.append(math.hypot(sol.y[0][-1] - ref[0], sol.y[1][-1] - ref[1]))
+    return errors

@@ -21,7 +21,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GATED = ("model.py", "equilibria.py", "normal_forms.py", "bifurcations.py", "reporting.py",
-         "dynamics.py")
+         "dynamics.py", "cli.py", "__main__.py")
 
 
 def _code_lines(code) -> set[int]:

@@ -18,7 +18,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 import allee_lab as al
 from allee_lab.equilibria import DISCRIMINANT_RTOL
@@ -31,6 +30,7 @@ from helpers import (
     random_params,
     random_state,
     rel_err,
+    stepper_global_errors,
 )
 
 SC = al.StabilityClass
@@ -367,16 +367,8 @@ def test_criterion_7_alternative_h11_value(acceptance):
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_oracle_integrity(acceptance):
-    # integrator order: global error at t=1 on the linearised flow tracks tol
-    p = al.ModelParams(q=1, s=1, h=0.21, m=0.2)
-    J = al.derivatives(p, al.State(0.7, 0.0)).jacobian
-    z0 = np.array([1.0, 0.7])
-    exact = expm(J) @ z0
-    errors = []
-    for tol in (1e-6, 1e-8, 1e-10):
-        sol = al.dynamics.solve_ivp(lambda t, z: J @ z, (0.0, 1.0), z0,
-                                    rtol=tol, atol=tol * 1e-2)
-        errors.append(float(np.hypot(*(np.array(sol.y)[:, -1] - exact))))
+    # integrator order: global error at t=1 on the model flow tracks tol
+    errors = stepper_global_errors()
     assert errors[0] > errors[1] > errors[2]
     slope = (math.log(errors[0]) - math.log(errors[2])) / (math.log(1e-6) - math.log(1e-10))
     assert 0.5 <= slope <= 1.5

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -645,6 +646,22 @@ def test_in_process_output(tmp_path, capsys, argv, config, code, golden, err):
     assert main(argv) == code
     out = "" if golden is None else (GOLDEN / f"{golden}.json").read_text(encoding="utf-8")
     assert capsys.readouterr() == (out, err.format(cfg=cfg))
+
+
+def test_module_entry_points_run_in_process(monkeypatch, capsys):
+    """`python -m allee_lab` and `python -m allee_lab.cli`, run in this
+    process: both exit with main's status after printing its output."""
+    golden = (GOLDEN / "analyze_generic.json").read_text(encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["allee-lab", "analyze", "--q", "1", "--s", "1",
+                                      "--h", "0.21", "--m", "0.2"])
+    with pytest.raises(SystemExit) as run:
+        runpy.run_module("allee_lab", run_name="__main__")
+    assert run.value.code == 0 and capsys.readouterr().out == golden
+    # the cli module is imported already, so runpy warns that it runs a second copy
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"), \
+            pytest.raises(SystemExit) as run:
+        runpy.run_module("allee_lab.cli", run_name="__main__")
+    assert run.value.code == 0 and capsys.readouterr().out == golden
 
 
 class TestExitCodes:

@@ -1,18 +1,18 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
-from scipy.linalg import expm
 from scipy.optimize import brentq
 
 import allee_lab as al
 import allee_lab.dynamics as dynamics
 from allee_lab.errors import DomainViolation, NoCrossings
 from allee_lab.model import _field
-from helpers import random_params, random_state
+from helpers import random_params, random_state, stepper_global_errors
 
 SC = al.StabilityClass
 SV = al.SimVerdict
@@ -120,73 +120,57 @@ class TestIntegrate:
 
 class TestIntegratorAccuracy:
     def test_global_error_scales_with_tolerance(self):
-        """On the linearised flow at a hyperbolic equilibrium the global
-        error at t = 1 must track the requested tolerance."""
-        p = al.ModelParams(q=1, s=1, h=0.21, m=0.2)
-        J = al.derivatives(p, al.State(0.7, 0.0)).jacobian
-        z0 = np.array([1.0, 0.7])
-        exact = expm(J) @ z0
-        errors = []
-        for tol in (1e-6, 1e-8, 1e-10):
-            sol = dynamics.solve_ivp(lambda t, z: J @ z, (0.0, 1.0), z0,
-                                     rtol=tol, atol=tol * 1e-2)
-            errors.append(float(np.hypot(*(np.array(sol.y)[:, -1] - exact))))
+        """On the model flow the global error at t = 1 against scipy's
+        DOP853 must track the requested tolerance."""
+        errors = stepper_global_errors()
         assert errors[0] > errors[1] > errors[2]
         slope = (math.log(errors[0]) - math.log(errors[2])) / (math.log(1e-6) - math.log(1e-10))
         assert 0.5 <= slope <= 1.5
 
 
-def _field_rhs(p, reverse):
-    # the model's field, or its negation: the reversed flow in forward time
-    rhs = dynamics._rhs(p)
-    if not reverse:
-        return rhs
-
-    def negated(t, u):
-        f1, f2 = rhs(t, u)
-        return (-f1, -f2)
-
-    return negated
+def _model_rhs(p):
+    # the model's field as scipy's solve_ivp calls it
+    return lambda t, u: _field(p.q, p.s, p.h, p.m, *u)
 
 
 def _reference_runs():
-    """Seeded integrate-style runs: both flow directions, both time
-    directions, max_step inf and 1, three tolerance pairs, with the floor,
-    divergence and a section event."""
+    """Seeded integrate-style runs: both time directions, max_step inf and
+    1, three tolerance pairs, with the floor, divergence and a section
+    event."""
     rng = np.random.default_rng(1906)
     for k in range(96):
         p = random_params(rng)
         u0 = random_state(rng)
-        reverse, backward = bool(k & 1), bool(k & 2)
-        max_step = (math.inf, 1.0)[(k >> 2) & 1]
+        backward = bool(k & 1)
+        max_step = (math.inf, 1.0)[(k >> 1) & 1]
         rtol, atol = ((1e-6, 1e-9), (1e-8, 1e-10), (1e-10, 1e-12))[k % 3]
         section_y = float(rng.uniform(0.1, 1.0))
 
         def section(t, u, c=section_y):
             return u[1] - c
 
-        section.direction = float((k >> 3) % 3 - 1)
+        section.direction = float((k >> 2) % 3 - 1)
         events = [dynamics._floor_event(), dynamics._divergence_event(), section]
         span = (0.0, -60.0) if backward else (0.0, 60.0)
-        kwargs = dict(rtol=rtol, atol=atol, max_step=max_step, events=events)
-        yield _field_rhs(p, reverse), span, u0, kwargs
+        yield p, span, u0, dict(rtol=rtol, atol=atol, max_step=max_step, events=events)
     # starts whose stages overflow: every step is rejected until it underflows
     p = al.ModelParams(q=1, s=1, h=0.1, m=0.2)
     for u0 in ((1e-7, 1e300), (1e300, 1e300), (0.5, 1e154)):
         events = [dynamics._floor_event(), dynamics._divergence_event()]
-        yield dynamics._rhs(p), (0.0, 20.0), u0, dict(rtol=1e-8, atol=1e-10, events=events)
+        yield p, (0.0, 20.0), u0, dict(rtol=1e-8, atol=1e-10, max_step=math.inf, events=events)
 
 
 class TestSolverAgainstScipy:
-    """scipy's RK45 is the reference the package's stepper was ported from."""
+    """scipy's RK45 on the model's field is the reference the package's
+    stepper was ported from."""
 
     def test_seeded_runs_match_rk45(self):
         runs = same_nfev = 0
         statuses = set()
-        for rhs, span, u0, kwargs in _reference_runs():
+        for p, span, u0, kwargs in _reference_runs():
             with np.errstate(all="ignore"):
-                ref = scipy_solve_ivp(rhs, span, u0, **kwargs)
-            got = dynamics.solve_ivp(rhs, span, u0, **kwargs)
+                ref = scipy_solve_ivp(_model_rhs(p), span, u0, **kwargs)
+            got = dynamics.solve_ivp(p, span, u0, **kwargs)
             runs += 1
             statuses.add((got.status, tuple(len(te) > 0 for te in got.t_events[:2])))
             assert got.status == ref.status
@@ -202,11 +186,11 @@ class TestSolverAgainstScipy:
 
     def test_t_eval_samples_match_rk45(self):
         p = al.ModelParams(q=1, s=0.52, h=0.12, m=0.1)
-        tt = np.linspace(0.0, 45.3, 2000)
-        for reverse in (False, True):
-            kwargs = dict(rtol=1e-10, atol=1e-12, t_eval=tt)
-            ref = scipy_solve_ivp(_field_rhs(p, reverse), (0.0, 45.3), (0.33, 0.3), **kwargs)
-            got = dynamics.solve_ivp(_field_rhs(p, reverse), (0.0, 45.3), (0.33, 0.3), **kwargs)
+        for t_end in (45.3, -45.3):
+            tt = np.linspace(0.0, t_end, 2000)
+            kwargs = dict(rtol=1e-10, atol=1e-12, max_step=math.inf, t_eval=tt)
+            ref = scipy_solve_ivp(_model_rhs(p), (0.0, t_end), (0.33, 0.3), **kwargs)
+            got = dynamics.solve_ivp(p, (0.0, t_end), (0.33, 0.3), **kwargs)
             assert got.status == ref.status == 0 and got.nfev == ref.nfev
             assert np.array_equal(got.t, tt)
             assert np.max(np.abs(got.y - ref.y)) <= 1e-12
@@ -217,7 +201,8 @@ class TestSolverAgainstScipy:
         for _ in range(200):
             kx, ky = rng.normal(size=6), rng.normal(size=6)
             t_old, h = float(rng.uniform(-50, 50)), float(rng.choice([-1, 1]) * rng.uniform(1e-3, 2))
-            sol = dynamics._dense_output(t_old, h, 0.3, 0.4, tuple(kx), tuple(ky))
+            sol = dynamics._dense_output(t_old, h, 0.3, 0.4, dynamics._coefficients(*kx),
+                                         dynamics._coefficients(*ky))
             ends = (sol(t_old)[1], sol(t_old + h)[1])
             level = float(rng.uniform(min(ends), max(ends)))
 
@@ -235,20 +220,85 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
+def _oracle_outputs() -> list[str]:
+    """The seeded simulation-oracle outputs as float.hex lines: every
+    solve_ivp result (status, nfev, times, states and events) of integrate
+    runs that end at the horizon, on a point, at the floor and by
+    divergence; of direct solve_ivp runs with t_eval, backward, with a step
+    cap and with a stage on x = 0; of detect_cycle on both sides of s2; of
+    classify_by_simulation on random foci and nodes; and what each returns."""
+    out: list[str] = []
+    solver = dynamics.solve_ivp
+
+    def recording(*args, **kwargs):
+        sol = solver(*args, **kwargs)
+        out.append(f"solve_ivp {sol.status} {sol.nfev}")
+        out.extend(_bits([*sol.t, *sol.y[0], *sol.y[1]]))
+        for te, ye in zip(sol.t_events or (), sol.y_events or ()):
+            out.extend(_bits([*te, *(v for u in ye for v in u)]))
+        return sol
+
+    dynamics.solve_ivp = recording  # the oracle looks the solver up at call time
+    try:
+        rng = np.random.default_rng(3301)
+        starts = [(al.ModelParams(q=1, s=0.52, h=0.12, m=0.1), (0.33, 0.3), 100.0),
+                  (al.ModelParams(q=1, s=1, h=0.21, m=0.2), (0.701, 0.001), 200.0),
+                  (al.ModelParams(q=1, s=1, h=0.1, m=0.2), (0.1, 0.5), 200.0),
+                  (al.ModelParams(q=1, s=1, h=0.1, m=0.2), (0.5, 1e154), 20.0)]
+        starts += [(random_params(rng), random_state(rng), 60.0) for _ in range(6)]
+        for p, u0, t_max in starts:
+            traj = al.integrate(p, al.State(*u0), t_max=t_max)
+            out.append(traj.terminal.value)
+            out.extend(_bits([*traj.t, *traj.x, *traj.y]))
+
+        p = al.ModelParams(q=1, s=0.52, h=0.12, m=0.1)
+        section = dynamics._event(lambda t, u: u[1] - 0.3, 0.0, terminal=False)
+        events = [dynamics._floor_event(), dynamics._divergence_event(), section]
+        dynamics.solve_ivp(p, (0.0, 45.3), (0.33, 0.3), rtol=1e-10, atol=1e-12,
+                           max_step=math.inf, t_eval=np.linspace(0.0, 45.3, 300))
+        dynamics.solve_ivp(p, (0.0, -30.0), (0.33, 0.3), rtol=1e-8, atol=1e-10,
+                           max_step=math.inf, events=events)
+        dynamics.solve_ivp(p, (0.0, 30.0), (0.33, 0.3), rtol=1e-6, atol=1e-9,
+                           max_step=0.37, events=events)
+        dynamics.solve_ivp(al.ModelParams(q=1, s=1, h=10, m=0.2), (0.0, 1.0), (0.5, 0.0),
+                           rtol=1e-3, atol=1e-6, max_step=0.05085427557989809)
+
+        s2 = al.hopf_critical_s(al.ModelParams(q=1, s=1.0, h=0.12, m=0.1), "E8")
+        for delta in (0.02, -0.02):
+            det = al.detect_cycle(al.ModelParams(q=1, s=s2 + delta, h=0.12, m=0.1),
+                                  al.State(0.3, 0.3))
+            out.append(f"detect_cycle {det.found} {det.stability.value}")
+            out.extend(_bits([v for v in (det.period, det.amplitude) if v is not None]))
+            out.extend(_bits(det.section_crossings))
+
+        wanted = {SC.STABLE_FOCUS: 3, SC.UNSTABLE_FOCUS: 3, SC.STABLE_NODE: 3,
+                  SC.UNSTABLE_NODE: 3}
+        while any(wanted.values()):
+            p = random_params(rng)
+            for e in al.full_portrait(p):
+                if wanted.get(e.classification):
+                    wanted[e.classification] -= 1
+                    out.append(al.classify_by_simulation(p, e).value)
+    finally:
+        dynamics.solve_ivp = solver
+    return out
+
+
+class TestBitIdentity:
+    # SHA-256 of _oracle_outputs' lines: reordering any float operation of
+    # the stepper, such as two terms of one stage sum, changes it
+    ORACLE_DIGEST = "7edd8313f4eeb07039e6d5e55884ef2581dca669445c7b6d151b4200c04d56f5"
+
+    def test_seeded_oracle_outputs_keep_their_bits(self):
+        outputs = _oracle_outputs()
+        assert {r.value for r in al.TerminalReason} <= set(outputs)  # every integrate ending
+        digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+        assert digest == self.ORACLE_DIGEST
+
+
 class TestStepperPieces:
     """The stepper's written-out pieces against the forms they replace, and
     its rarely taken branches, in-process."""
-
-    def test_rhs_is_the_model_field_bit_for_bit(self):
-        rng = np.random.default_rng(2028)
-        for _ in range(50):
-            p = random_params(rng)
-            rhs = dynamics._rhs(p)
-            xs = (*rng.uniform(0.0, 2.0, 4), dynamics.X_FLOOR, dynamics.X_FLOOR * (1 + 1e-12))
-            for x in map(float, xs):
-                for y in (*map(float, rng.uniform(0.0, 2.0, 3)), 0.0, -0.0, p.m, x):
-                    want = _field(p.q, p.s, p.h, p.m, x, y)
-                    assert _bits(rhs(float(rng.uniform(-9, 9)), (x, y))) == _bits(want)
 
     def test_interpolant_coefficients_are_the_sums_over_p(self):
         d = dynamics
@@ -265,15 +315,17 @@ class TestStepperPieces:
         assert _bits(d._coefficients(-0.0, -0.0, -0.0, -0.0, -0.0, -0.0)) == _bits([0.0] * 4)
 
     def test_flat_field_takes_the_floor_initial_step(self):
-        def flat(t, u):
-            return 0.0, 0.0
-
-        assert dynamics._initial_step(flat, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, math.inf, 1.0,
+        # (0.75, 0) is an equilibrium at h = 0.1875 = 0.75 * 0.25, where both
+        # components of the field are exactly zero
+        p = al.ModelParams(q=1, s=1, h=0.1875, m=0.2)
+        assert _field(p.q, p.s, p.h, p.m, 0.75, 0.0) == (0.0, 0.0)
+        kwargs = dict(rtol=1e-3, atol=1e-6, max_step=math.inf)
+        assert dynamics._initial_step(p, 0.75, 0.0, 0.0, 0.0, 1.0, math.inf, 1.0,
                                       1e-3, 1e-6) == 1e-6
-        got = dynamics.solve_ivp(flat, (0.0, 1.0), (1.0, 1.0))
-        ref = scipy_solve_ivp(flat, (0.0, 1.0), (1.0, 1.0))
+        got = dynamics.solve_ivp(p, (0.0, 1.0), (0.75, 0.0), **kwargs)
+        ref = scipy_solve_ivp(_model_rhs(p), (0.0, 1.0), (0.75, 0.0), **kwargs)
         assert got.t == list(ref.t) and got.nfev == ref.nfev and got.t[1] == 1e-6
-        assert got.y == ([1.0] * len(got.t), [1.0] * len(got.t))
+        assert got.y == ([0.75] * len(got.t), [0.0] * len(got.t))
 
     def test_brentq_exact_zeros_underflow_and_budget(self):
         assert dynamics._brentq(lambda t: t - 1.0, 1.0, 2.0) == 1.0
@@ -294,17 +346,25 @@ class TestStepperPieces:
         ((2.0, 2.0), (0.5, 0.5), "must be positive"),
     ])
     def test_bad_start_or_span_raises(self, span, y0, message):
+        p = al.ModelParams(q=1, s=1, h=0.1, m=0.2)
         with pytest.raises(ValueError, match=message):
-            dynamics.solve_ivp(lambda t, u: u, span, y0)
+            dynamics.solve_ivp(p, span, y0, rtol=1e-3, atol=1e-6, max_step=math.inf)
 
-    def test_stage_that_divides_by_zero_rejects_the_step(self):
-        def field(t, u):  # divides by zero from t = 0.5 on
-            return 1.0, 1.0 / float(t < 0.5)
-
-        sol = dynamics.solve_ivp(field, (0.0, 1.0), (0.0, 0.0))
-        assert sol.status == -1
-        assert 0.5 - 1e-12 < sol.t[-1] < 0.5
-        assert sol.y[0][-1] == pytest.approx(sol.t[-1], rel=1e-12)
+    def test_stage_on_the_singular_axis_rejects_the_step(self):
+        # the prey collapses under h = 10; capped at this max_step, the first
+        # attempt's stage 6 lands exactly on x = 0.0, where y / x divides by
+        # zero: the attempt is rejected and cut by the smallest factor, 0.2.
+        # One ulp either way the stage misses 0.0 and the capped step passes.
+        p = al.ModelParams(q=1, s=1, h=10, m=0.2)
+        cap = 0.05085427557989809
+        kwargs = dict(rtol=1e-3, atol=1e-6)
+        fx, fy = _field(p.q, p.s, p.h, p.m, 0.5, 0.0)
+        assert dynamics._initial_step(p, 0.5, 0.0, fx, fy, 1.0, cap, 1.0, **kwargs) == cap
+        sol = dynamics.solve_ivp(p, (0.0, 1.0), (0.5, 0.0), max_step=cap, **kwargs)
+        assert sol.t[1] == 0.2 * cap
+        for near in (math.nextafter(cap, 0.0), math.nextafter(cap, 1.0)):
+            sol = dynamics.solve_ivp(p, (0.0, 1.0), (0.5, 0.0), max_step=near, **kwargs)
+            assert sol.t[1] == near
 
 
 class TestDetectCycle:
